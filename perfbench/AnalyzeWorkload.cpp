@@ -31,8 +31,11 @@ using namespace perfbench;
 
 namespace {
 
-constexpr unsigned KernelRounds = 25, GeneratedPrograms = 800;
-constexpr unsigned TinyKernelRounds = 1, TinyGeneratedPrograms = 24;
+/// Generated programs: a fixed corpus, the same in every run, whose digest
+/// is recorded in Expected.h, and as many drawn from the run seed.
+constexpr unsigned KernelRounds = 25, FixedPrograms = 400, SeededPrograms = 400;
+constexpr unsigned TinyKernelRounds = 1, TinyFixedPrograms = 12,
+                   TinySeededPrograms = 12;
 
 const SchedulePolicy Policies[] = {SchedulePolicy::SourceOrder,
                                    SchedulePolicy::BestReliability,
@@ -183,20 +186,28 @@ void checkKernel(const RunConfig &Cfg, const Workload &W, const ProgramResult &O
   Chk.check(CountsOk, W.Name + ": Table III counts differ from the record");
 }
 
+/// Folds one generated program's result into a digest that does not depend
+/// on the shuffled order of the corpus.
+void addToDigest(CorpusDigest &D, const AnalyzePhase::Item &It, uint64_t V) {
+  (It.Fixed ? D.Fixed : D.Seeded) += mixDigest(uint64_t(It.Generated), V);
+}
+
 } // namespace
 
 void AnalyzePhase::setup() {
   Items.clear();
   const std::vector<Workload> &Kernels = allWorkloads();
   unsigned Rounds = Cfg.Tiny ? TinyKernelRounds : KernelRounds;
-  unsigned Generated = Cfg.Tiny ? TinyGeneratedPrograms : GeneratedPrograms;
+  unsigned Fixed = Cfg.Tiny ? TinyFixedPrograms : FixedPrograms;
+  unsigned Seeded = Cfg.Tiny ? TinySeededPrograms : SeededPrograms;
   for (unsigned R = 0; R < Rounds; ++R)
     for (size_t K = 0; K < Kernels.size(); ++K)
       Items.push_back({Kernels[K].Name, Kernels[K].Asm, int(K)});
-  for (unsigned I = 0; I < Generated; ++I) {
-    fuzz::GeneratedProgram G =
-        fuzz::generateProgram(fuzz::programSeed(Cfg.Seed, I));
-    Items.push_back({G.Name, std::move(G.Asm), -1});
+  for (unsigned I = 0; I < Fixed + Seeded; ++I) {
+    bool IsFixed = I < Fixed;
+    fuzz::GeneratedProgram G = fuzz::generateProgram(fuzz::programSeed(
+        IsFixed ? FixedCorpusSeed : Cfg.Seed, IsFixed ? I : I - Fixed));
+    Items.push_back({G.Name, std::move(G.Asm), -1, int(I), IsFixed});
   }
   Xoshiro256 Rng(Cfg.Seed);
   for (size_t I = Items.size(); I > 1; --I)
@@ -205,7 +216,8 @@ void AnalyzePhase::setup() {
 
 void AnalyzePhase::runPass(Checker &Chk) {
   const std::vector<Workload> &Kernels = allWorkloads();
-  uint64_t Digest = 0, Instrs = 0, Cycles = 0, Classes = 0;
+  CorpusDigest Digest;
+  uint64_t Instrs = 0, Cycles = 0, Classes = 0;
   std::vector<double> LatencyMs;
   Clock::time_point Start = Clock::now();
   for (const Item &It : Items) {
@@ -222,7 +234,7 @@ void AnalyzePhase::runPass(Checker &Chk) {
     if (It.Kernel >= 0)
       checkKernel(Cfg, Kernels[It.Kernel], O, Chk);
     else
-      Digest = mixDigest(Digest, O.digest());
+      addToDigest(Digest, It, O.digest());
   }
   double Wall = secondsSince(Start);
   Totals.add(double(Items.size()), Wall, std::move(LatencyMs));
@@ -231,25 +243,28 @@ void AnalyzePhase::runPass(Checker &Chk) {
   PassInstrs = Instrs;
   PassCycles = Cycles;
   PassBitClasses = Classes;
+  uint64_t Recorded = Cfg.Tiny ? TinyFixedCorpusDigest : FixedCorpusDigest;
+  if (!Chk.check(Digest.Fixed == expected(Cfg, Recorded),
+                 "fixed generated corpus digest differs from the record"))
+    std::fprintf(stderr, "  fixed corpus digest 0x%016llx\n",
+                 (unsigned long long)Digest.Fixed);
   if (HaveDigest)
-    Chk.check(Digest == GeneratedDigest,
-              "generated corpus digest changed between passes");
-  GeneratedDigest = Digest;
+    Chk.check(Digest.Seeded == LastDigest.Seeded,
+              "seeded generated corpus digest changed between passes");
+  LastDigest = Digest;
   HaveDigest = true;
 }
 
 void AnalyzePhase::crossCheck(Checker &Chk) {
-  uint64_t Digest = 0;
+  CorpusDigest Digest;
   for (const Item &It : Items) {
     if (It.Kernel >= 0)
       continue;
     ProgramResult O;
-    if (!analyzeDirect(It, O))
-      Digest = mixDigest(Digest, ~0ull);
-    else
-      Digest = mixDigest(Digest, O.digest());
+    addToDigest(Digest, It, analyzeDirect(It, O) ? O.digest() : ~0ull);
   }
-  Chk.check(HaveDigest && Digest == GeneratedDigest,
+  Chk.check(HaveDigest && Digest.Fixed == LastDigest.Fixed &&
+                Digest.Seeded == LastDigest.Seeded,
             "generated corpus counts differ between the session pipeline "
             "and direct library calls");
 }

@@ -121,6 +121,11 @@ inline uint64_t mixDigest(uint64_t H, uint64_t V) {
   return Z ^ (Z >> 31);
 }
 
+/// Order-free digests of the generated programs' results, one per corpus.
+struct CorpusDigest {
+  uint64_t Fixed = 0, Seeded = 0;
+};
+
 //===----------------------------------------------------------------------===//
 // Phases
 //===----------------------------------------------------------------------===//
@@ -142,7 +147,9 @@ public:
   struct Item {
     std::string Name;
     std::string Asm;
-    int Kernel = -1; ///< Index into allWorkloads(), or -1 when generated.
+    int Kernel = -1;    ///< Index into allWorkloads(), or -1 when generated.
+    int Generated = -1; ///< Index among the generated programs.
+    bool Fixed = false; ///< From the fixed corpus, not the run seed.
   };
 
 private:
@@ -150,7 +157,7 @@ private:
   std::vector<Item> Items;
   PassTotals Totals;
   uint64_t PassInstrs = 0, PassCycles = 0, PassBitClasses = 0;
-  uint64_t GeneratedDigest = 0;
+  CorpusDigest LastDigest;
   bool HaveDigest = false;
 };
 
@@ -183,12 +190,12 @@ public:
   ~ServePhase();
   ServePhase(const ServePhase &) = delete;
   ServePhase &operator=(const ServePhase &) = delete;
-  /// Starts two backends and the gateway on ephemeral loopback ports,
-  /// connects the clients, warms the bundled kernels and draws the seeded
-  /// traffic mix; a second call replaces the previous stack.
+  /// Draws the seeded traffic mix.
   void setup();
-  /// Each pass after the first restarts the servers (unmeasured), so every
-  /// pass sends the same mix to the same cold state.
+  /// Starts two backends and the gateway on ephemeral loopback ports,
+  /// connects the clients and warms the bundled kernels (unmeasured), so
+  /// every pass sends the same mix to the same cold state; then sends the
+  /// mix and checks every reply.
   void runPass(Checker &Chk);
   /// Serve's end-to-end numbers are reported here too: on a shared host
   /// they swing with other tenants' load by more than any bound allows.
@@ -205,7 +212,6 @@ private:
   std::unique_ptr<Stack> S;
   std::unique_ptr<Renderer> Render;
   std::unique_ptr<Mix> Traffic;
-  bool Fresh = false; ///< S has not served a pass yet
   PassTotals Totals;
   uint64_t Requests = 0, Rejected = 0;
   double HitRate = 0, DirectP50Us = 0, GatewayP50Us = 0;

@@ -50,6 +50,15 @@ inline const KernelExpectation *findKernelExpectation(std::string_view Name) {
   return nullptr;
 }
 
+/// The analyze phase's fixed generated corpus: fuzz::programSeed(
+/// FixedCorpusSeed, I) for I below 400 (12 at smoke-check sizes), whatever
+/// the run seed. The digest folds each program's instructions, golden
+/// trace and outputs, Table III counts, vulnerability, BEC bit classes and
+/// three schedules, keyed by I.
+inline constexpr uint64_t FixedCorpusSeed = 20240301;
+inline constexpr uint64_t FixedCorpusDigest = 0x686e96b6e0c5a97full;
+inline constexpr uint64_t TinyFixedCorpusDigest = 0xc0732a8240c662adull;
+
 /// One campaign of the `campaign` phase and its recorded effect counts
 /// (indexed by bec::FaultEffect: masked, benign, sdc, trap, hang).
 struct CampaignExpectation {

@@ -7,15 +7,17 @@
 ///             [--trace-out FILE] [--git-sha SHA] [--tiny]
 ///             [--corrupt-expected]
 ///
-/// Without --trace-out, sets the phases up three times (setup_s is the
-/// median), then interleaves passes of the three phases for S seconds, the
-/// workload's own phase taking half of the time, and prints the end-to-end
-/// metrics.
-/// With --trace-out, runs every phase once to warm up, once under the obs
-/// tracer and once more untraced, writes the Chrome trace of the traced
-/// pass to FILE and prints the per-layer counts and ratios the trace cannot
-/// carry; summarize.py adds the span self times. The last stdout line is one JSON object: correct,
-/// attempted, failed, metrics.
+/// Without --trace-out, interleaves passes of the three phases for S
+/// seconds, the workload's own phase taking half of the time, sets the
+/// phases up 18 times spread over those S seconds (setup_s is the mean),
+/// and prints the end-to-end metrics.
+/// With --trace-out, sets up once, runs every phase once to warm up, once
+/// under the obs tracer and once more untraced, writes the Chrome trace of
+/// the traced pass to FILE and prints the per-layer counts and ratios the
+/// trace cannot carry; summarize.py adds the span self times. The last
+/// stdout line is one JSON object: correct, attempted, failed, metrics.
+/// The exit code is 3 when any output check failed, 1 on an error, 2 on a
+/// usage error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,24 +151,38 @@ int main(int Argc, char **Argv) {
   AnalyzePhase Analyze(Cfg);
   CampaignPhase Campaign(Cfg);
   ServePhase Serve(Cfg);
-  Checker Chk;
+  // One ledger per phase: ok_share is the lowest of their shares, so the
+  // few campaign checks are not outweighed by thousands of analyze and
+  // serve checks.
+  Checker Chk[3];
   MetricMap Metrics;
   try {
+    // Set-ups are spread over the run, like the passes, so that setup_s
+    // samples the same host states as the other metrics, and it is their
+    // mean for the reason PassTotals gives: one set-up takes about 30 ms
+    // and lands in either host state, so a median jumps between the two.
+    // Each one replaces the previous inputs with identical ones. Starting
+    // the serve stack is left out: it is a dozen threads handing requests
+    // to each other, and its time swung with host load far more than any
+    // bound allows.
+    const size_t SetupReps = TraceOut.empty() ? 18 : 1;
     std::vector<double> SetupS;
-    for (int Rep = 0; Rep < 3; ++Rep) {
+    auto Setup = [&] {
       Clock::time_point T0 = Clock::now();
       Analyze.setup();
       Campaign.setup();
       Serve.setup();
       SetupS.push_back(secondsSince(T0));
-    }
+      std::printf("setup %zu: %.4f s\n", SetupS.size(), SetupS.back());
+    };
+    Setup();
     auto Pass = [&](const std::string &Phase) {
       if (Phase == "analyze")
-        Analyze.runPass(Chk);
+        Analyze.runPass(Chk[0]);
       else if (Phase == "campaign")
-        Campaign.runPass(Chk);
+        Campaign.runPass(Chk[1]);
       else
-        Serve.runPass(Chk);
+        Serve.runPass(Chk[2]);
     };
 
     if (TraceOut.empty()) {
@@ -188,16 +204,23 @@ int main(int Argc, char **Argv) {
         }
         if (Last[Next] > 0 && secondsSince(T0) + Last[Next] > Seconds)
           break;
+        if (secondsSince(T0) >= Seconds * double(SetupS.size()) / SetupReps &&
+            SetupS.size() < SetupReps)
+          Setup();
         Clock::time_point P0 = Clock::now();
         Pass(Phases[Next]);
         Last[Next] = secondsSince(P0);
         Spent[Next] += Last[Next];
       }
+      while (SetupS.size() < SetupReps)
+        Setup();
     } else {
       // An untraced warm-up pass of every phase, the traced pass, then an
       // untraced pass right after it; the overhead compares the last two.
       for (const std::string &P : Phases)
         Pass(P);
+      // Before the tracer holds a pass's worth of span events.
+      Metrics["peak_rss_mb"] = {peakRssMb(), "MB"};
       obs::traceBegin();
       Clock::time_point T1 = Clock::now();
       for (const std::string &P : Phases)
@@ -214,15 +237,14 @@ int main(int Argc, char **Argv) {
       double Untraced = secondsSince(T2);
       Metrics["obs.trace_overhead_share"] = {Traced / Untraced - 1, "share"};
     }
-    Analyze.crossCheck(Chk);
+    Analyze.crossCheck(Chk[0]);
     Serve.teardown();
 
     if (TraceOut.empty()) {
-      Metrics["setup_s"] = {median(SetupS), "s"};
+      Metrics["setup_s"] = {mean(SetupS), "s"};
       Analyze.endToEnd(Metrics);
       Campaign.endToEnd(Metrics);
     } else {
-      Metrics["peak_rss_mb"] = {peakRssMb(), "MB"};
       Analyze.perLayer(Metrics);
       Campaign.perLayer(Metrics);
       Serve.perLayer(Metrics);
@@ -232,20 +254,29 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  double FailedShare =
-      Chk.attempted() ? double(Chk.failed()) / double(Chk.attempted()) : 1;
+  uint64_t Attempted = 0, Failed = 0;
+  double OkShare = 1;
+  for (int P = 0; P < 3; ++P) {
+    const Checker &C = Chk[P];
+    double Share =
+        C.attempted() ? 1 - double(C.failed()) / double(C.attempted()) : 0;
+    std::printf("checks %-8s %llu attempted, %llu failed\n", Phases[P].c_str(),
+                (unsigned long long)C.attempted(),
+                (unsigned long long)C.failed());
+    Attempted += C.attempted();
+    Failed += C.failed();
+    OkShare = std::min(OkShare, Share);
+  }
+  bool Correct = Failed == 0 && OkShare == 1;
   if (TraceOut.empty())
-    Metrics["ok_share"] = {1 - FailedShare, "share"};
-  std::printf("checks: %llu attempted, %llu failed (failed_share %.6g)\n",
-              (unsigned long long)Chk.attempted(),
-              (unsigned long long)Chk.failed(), FailedShare);
+    Metrics["ok_share"] = {OkShare, "share"};
   for (const auto &[Name, M] : Metrics)
     std::printf("  %-28s %16.6g %s\n", Name.c_str(), M.Value, M.Unit.c_str());
 
   std::string Line = "{\"correct\": ";
-  Line += Chk.failed() == 0 && Chk.attempted() > 0 ? "true" : "false";
-  Line += ", \"attempted\": " + std::to_string(Chk.attempted());
-  Line += ", \"failed\": " + std::to_string(Chk.failed());
+  Line += Correct ? "true" : "false";
+  Line += ", \"attempted\": " + std::to_string(Attempted);
+  Line += ", \"failed\": " + std::to_string(Failed);
   Line += ", \"metrics\": {";
   bool First = true;
   for (const auto &[Name, M] : Metrics) {
@@ -256,5 +287,5 @@ int main(int Argc, char **Argv) {
   }
   Line += "}}";
   std::printf("%s\n", Line.c_str());
-  return 0;
+  return Correct ? 0 : 3;
 }

@@ -13,6 +13,8 @@ phase once untraced and once traced, keeps the Chrome trace at
 .bench_build/trace-<workload>.json and prints the per-layer metrics (span
 self times from summarize.py plus the counts the binary reports). The last
 line of stdout is one JSON object: correct, attempted, failed, metrics.
+Exits 1 when any output check failed (after printing that line) or on an
+error.
 """
 
 import argparse
@@ -127,7 +129,9 @@ def main():
     except subprocess.TimeoutExpired:
         fail("perfbench exceeded %d s" % RUN_TIMEOUT_S)
     lines = p.stdout.splitlines()
-    if p.returncode != 0 or not lines:
+    # Exit code 3: the run finished but an output check failed; the result
+    # is still printed, then this script exits 1.
+    if p.returncode not in (0, 3) or not lines:
         sys.stdout.write(p.stdout)
         fail("perfbench exited with code %d" % p.returncode)
     for line in lines[:-1]:
@@ -146,6 +150,8 @@ def main():
         metrics = {n: metrics[n] for n in want}
     print(json.dumps({"correct": result["correct"], "attempted": result["attempted"],
                       "failed": result["failed"], "metrics": metrics}))
+    if not result["correct"] or p.returncode != 0:
+        fail("%d of %d output checks failed" % (result["failed"], result["attempted"]))
 
 
 if __name__ == "__main__":
