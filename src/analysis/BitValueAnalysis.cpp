@@ -4,7 +4,8 @@
 
 #include "support/Debug.h"
 
-#include <deque>
+#include <algorithm>
+#include <queue>
 
 using namespace bec;
 
@@ -134,6 +135,50 @@ BitValue BitValueAnalysis::evalBranch(const Instruction &I, const RegState &S,
   }
 }
 
+namespace {
+
+/// Meets \p Src into \p Dst register by register. \returns true if \p Dst
+/// changed.
+bool meetInto(RegState &Dst, const RegState &Src) {
+  bool Changed = false;
+  for (Reg V = 0; V < NumRegs; ++V) {
+    KnownBits M = KnownBits::meet(Dst[V], Src[V]);
+    if (M != Dst[V]) {
+      Dst[V] = M;
+      Changed = true;
+    }
+  }
+  return Changed;
+}
+
+/// The blocks reachable from \p Entry, in reverse postorder.
+std::vector<uint32_t> reversePostorder(const std::vector<BasicBlock> &Blocks,
+                                       uint32_t Entry) {
+  std::vector<uint32_t> Order;
+  std::vector<bool> Seen(Blocks.size(), false);
+  // Depth-first search; each frame is (block, next successor slot).
+  std::vector<std::pair<uint32_t, uint32_t>> Stack = {{Entry, 0}};
+  Seen[Entry] = true;
+  while (!Stack.empty()) {
+    auto [B, Slot] = Stack.back();
+    if (Slot < Blocks[B].Succs.size()) {
+      ++Stack.back().second;
+      uint32_t S = Blocks[B].Succs[Slot];
+      if (!Seen[S]) {
+        Seen[S] = true;
+        Stack.push_back({S, 0});
+      }
+      continue;
+    }
+    Order.push_back(B);
+    Stack.pop_back();
+  }
+  std::reverse(Order.begin(), Order.end());
+  return Order;
+}
+
+} // namespace
+
 BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
   uint32_t N = Prog.size();
   unsigned Width = Prog.Width;
@@ -142,96 +187,92 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
   for (auto &KB : BottomState)
     KB = KnownBits::bottom(Width);
   Result.In.assign(N, BottomState);
-  Result.Out.assign(N, BottomState);
+  Result.Defs.assign(N, {});
   Result.Executable.assign(N, false);
+  if (N == 0)
+    return Result;
 
-  // Entry state: x0 is zero, everything else unknown (machine-initialized
-  // contents are not assumed).
-  RegState EntryState;
-  EntryState[RegZero] = KnownBits::constant(0, Width);
+  // Blocks are numbered by their reverse-postorder position from here on;
+  // blocks unreachable in the CFG get no number and are never executable.
+  const std::vector<BasicBlock> &Blocks = Prog.blocks();
+  std::vector<uint32_t> Order =
+      reversePostorder(Blocks, Prog.blockOf(Prog.Entry));
+  std::vector<uint32_t> RpoIndex(Blocks.size(), 0);
+  for (uint32_t Idx = 0; Idx < Order.size(); ++Idx)
+    RpoIndex[Order[Idx]] = Idx;
+
+  // State at each block entry: the meet over the block's executable
+  // incoming edges. The entry block additionally meets the entry state:
+  // x0 is zero, everything else unknown (machine-initialized contents are
+  // not assumed).
+  std::vector<RegState> EntryOf(Order.size(), BottomState);
+  EntryOf[0][RegZero] = KnownBits::constant(0, Width);
   for (Reg V = 1; V < NumRegs; ++V)
-    EntryState[V] = KnownBits::top(Width);
+    EntryOf[0][V] = KnownBits::top(Width);
 
-  // Executable-edge tracking, Wegman-Zadeck style. Edges are identified by
-  // (pred, succ-slot) pairs; feasible target slots are recomputed from the
-  // abstract branch condition each time the predecessor is processed.
-  std::vector<std::vector<bool>> EdgeExec(N);
-  for (uint32_t P = 0; P < N; ++P)
-    EdgeExec[P].assign(Prog.succs(P).size(), false);
+  // Executable blocks are those with a feasible incoming edge (plus the
+  // entry). The worklist always visits the pending block earliest in
+  // reverse postorder, so a block's predecessors outside loops are stable
+  // before it is visited.
+  std::vector<bool> Reached(Order.size(), false);
+  std::vector<bool> Queued(Order.size(), false);
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>>
+      Worklist;
+  Reached[0] = Queued[0] = true;
+  Worklist.push(0);
 
-  std::deque<uint32_t> Worklist;
-  std::vector<bool> OnWorklist(N, false);
-  auto Enqueue = [&](uint32_t P) {
-    if (!OnWorklist[P]) {
-      OnWorklist[P] = true;
-      Worklist.push_back(P);
-    }
-  };
-
-  Result.Executable[Prog.Entry] = true;
-  Enqueue(Prog.Entry);
-
+  RegState S;
   while (!Worklist.empty()) {
-    uint32_t P = Worklist.front();
-    Worklist.pop_front();
-    OnWorklist[P] = false;
+    uint32_t Idx = Worklist.top();
+    Worklist.pop();
+    Queued[Idx] = false;
 
-    // Meet over executable incoming edges; the entry additionally meets
-    // the entry state.
-    RegState NewIn = BottomState;
-    bool AnyIn = false;
-    if (P == Prog.Entry) {
-      NewIn = EntryState;
-      AnyIn = true;
+    // Transfer through the block. Terminators write no register, so S is
+    // also the state the terminator reads.
+    const BasicBlock &BB = Blocks[Order[Idx]];
+    S = EntryOf[Idx];
+    for (uint32_t P = BB.First; P <= BB.Last; ++P) {
+      const Instruction &I = Prog.instr(P);
+      if (I.writesReg())
+        S[I.Rd] = evalResult(I, S, Width);
     }
-    for (uint32_t Pred : Prog.preds(P)) {
-      const auto &Succs = Prog.succs(Pred);
-      for (uint32_t Slot = 0; Slot < Succs.size(); ++Slot) {
-        if (Succs[Slot] != P || !EdgeExec[Pred][Slot])
-          continue;
-        if (!AnyIn) {
-          NewIn = Result.Out[Pred];
-          AnyIn = true;
-        } else {
-          for (Reg V = 0; V < NumRegs; ++V)
-            NewIn[V] = KnownBits::meet(NewIn[V], Result.Out[Pred][V]);
-        }
-      }
-    }
-    Result.In[P] = NewIn;
 
-    // Transfer.
-    const Instruction &I = Prog.instr(P);
-    RegState NewOut = NewIn;
-    if (I.writesReg())
-      NewOut[I.Rd] = evalResult(I, NewIn, Width);
-    bool OutChanged = NewOut != Result.Out[P];
-    Result.Out[P] = NewOut;
-
-    // Mark feasible outgoing edges.
-    const auto &Succs = Prog.succs(P);
+    // Propagate along feasible outgoing edges (Wegman-Zadeck). Slot 0 of a
+    // conditional branch is the fallthrough, slot 1 the taken edge (unless
+    // the target *is* the fallthrough, in which case there is one slot).
+    const Instruction &Term = Prog.instr(BB.Last);
     bool TakenFeasible = true, FallFeasible = true;
-    if (isConditionalBranch(I.Op)) {
-      BitValue Cond = evalBranch(I, NewIn, Width);
+    if (isConditionalBranch(Term.Op) && BB.Succs.size() == 2) {
+      BitValue Cond = evalBranch(Term, S, Width);
       TakenFeasible = Cond != BitValue::Zero;
       FallFeasible = Cond != BitValue::One;
     }
-    for (uint32_t Slot = 0; Slot < Succs.size(); ++Slot) {
-      bool Feasible = true;
-      if (isConditionalBranch(I.Op)) {
-        // Slot 0 is the fallthrough, slot 1 the taken edge (unless the
-        // target *is* the fallthrough, in which case there is one slot).
-        Feasible = Succs.size() == 1 ||
-                   (Slot == 0 ? FallFeasible : TakenFeasible);
-      }
-      if (!Feasible)
+    for (uint32_t Slot = 0; Slot < BB.Succs.size(); ++Slot) {
+      if (!(Slot == 0 ? FallFeasible : TakenFeasible))
         continue;
-      bool NewEdge = !EdgeExec[P][Slot];
-      EdgeExec[P][Slot] = true;
-      uint32_t S = Succs[Slot];
-      if (NewEdge || OutChanged) {
-        Result.Executable[S] = true;
-        Enqueue(S);
+      uint32_t T = RpoIndex[BB.Succs[Slot]];
+      // A first edge always changes the target: x0 is never Bottom in S.
+      if (meetInto(EntryOf[T], S) && !Queued[T]) {
+        Reached[T] = Queued[T] = true;
+        Worklist.push(T);
+      }
+    }
+  }
+
+  // Materialize the per-instruction states of the executable blocks.
+  for (uint32_t Idx = 0; Idx < Order.size(); ++Idx) {
+    if (!Reached[Idx])
+      continue;
+    const BasicBlock &BB = Blocks[Order[Idx]];
+    RegState &State = EntryOf[Idx];
+    for (uint32_t P = BB.First; P <= BB.Last; ++P) {
+      const Instruction &I = Prog.instr(P);
+      Result.In[P] = State;
+      Result.Executable[P] = true;
+      if (I.writesReg()) {
+        KnownBits Value = evalResult(I, State, Width);
+        Result.Defs[P] = {I.Rd, Value};
+        State[I.Rd] = Value;
       }
     }
   }

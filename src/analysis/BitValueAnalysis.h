@@ -9,6 +9,12 @@
 /// that are feasible under the current abstract state. The result is the
 /// maximal fixed point.
 ///
+/// The solver iterates over basic blocks in reverse postorder and holds an
+/// abstract state only at block entries. Once those states are stable, one
+/// pass over the executable blocks stores the state before every
+/// instruction (before()) and the value each instruction writes; after()
+/// is derived from the two instead of being stored as a second full state.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEC_ANALYSIS_BITVALUEANALYSIS_H
@@ -34,7 +40,9 @@ public:
   /// k before p: the abstract value of \p V as read by \p P.
   const KnownBits &before(uint32_t P, Reg V) const { return In[P][V]; }
   /// k(p, v): the abstract value of \p V after \p P executes.
-  const KnownBits &after(uint32_t P, Reg V) const { return Out[P][V]; }
+  KnownBits after(uint32_t P, Reg V) const {
+    return V == Defs[P].R ? Defs[P].Value : In[P][V];
+  }
 
   /// True if the solver found \p P executable (unreachable code under the
   /// abstract semantics is never executed concretely either).
@@ -51,8 +59,15 @@ public:
                              unsigned Width);
 
 private:
+  /// The register an executable instruction writes and the value it
+  /// writes; R is NumRegs (no register) otherwise.
+  struct Def {
+    Reg R = NumRegs;
+    KnownBits Value;
+  };
+
   std::vector<RegState> In;
-  std::vector<RegState> Out;
+  std::vector<Def> Defs;
   std::vector<bool> Executable;
 };
 

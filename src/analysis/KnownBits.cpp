@@ -113,39 +113,21 @@ KnownBits KnownBits::not_(const KnownBits &A) {
 
 KnownBits KnownBits::add(const KnownBits &A0, const KnownBits &B0) {
   KnownBits A = A0.normalized(), B = B0.normalized();
+  uint64_t M = lowBitMask(A.Width);
+  // The carry into each bit is a monotone function of the lower operand
+  // bits, so it can be 1 exactly when it is 1 in the largest possible sum
+  // (unknown bits set) and 0 exactly when it is 0 in the smallest (unknown
+  // bits clear). A sum bit is known when both operand bits and its carry
+  // are; carry correlations across bits are dropped, which is sound.
+  uint64_t MinA = A.One, MinB = B.One;
+  uint64_t MaxA = ~A.Zero & M, MaxB = ~B.Zero & M;
+  uint64_t MinSum = MinA + MinB, MaxSum = MaxA + MaxB;
+  uint64_t MinCarry = MinSum ^ MinA ^ MinB;
+  uint64_t MaxCarry = MaxSum ^ MaxA ^ MaxB;
+  uint64_t Known = (A.Zero | A.One) & (B.Zero | B.One) & ~(MinCarry ^ MaxCarry);
   KnownBits R = top(A.Width);
-  R.Zero = R.One = 0;
-  // Ripple over the bits, tracking the set of possible carries. This is an
-  // over-approximation (carry correlations across bits are dropped), which
-  // is sound: the result bit set only grows.
-  bool CarryCan0 = true, CarryCan1 = false;
-  for (unsigned I = 0; I < A.Width; ++I) {
-    bool ACan0 = !testBit(A.One, I), ACan1 = !testBit(A.Zero, I);
-    bool BCan0 = !testBit(B.One, I), BCan1 = !testBit(B.Zero, I);
-    bool SumCan0 = false, SumCan1 = false;
-    bool NextCan0 = false, NextCan1 = false;
-    for (int AV = 0; AV <= 1; ++AV) {
-      if ((AV ? !ACan1 : !ACan0))
-        continue;
-      for (int BV = 0; BV <= 1; ++BV) {
-        if ((BV ? !BCan1 : !BCan0))
-          continue;
-        for (int CV = 0; CV <= 1; ++CV) {
-          if ((CV ? !CarryCan1 : !CarryCan0))
-            continue;
-          int Sum = AV + BV + CV;
-          (Sum & 1 ? SumCan1 : SumCan0) = true;
-          (Sum >= 2 ? NextCan1 : NextCan0) = true;
-        }
-      }
-    }
-    if (SumCan1 && !SumCan0)
-      R.One |= uint64_t(1) << I;
-    if (SumCan0 && !SumCan1)
-      R.Zero |= uint64_t(1) << I;
-    CarryCan0 = NextCan0;
-    CarryCan1 = NextCan1;
-  }
+  R.One = MinSum & Known & M;
+  R.Zero = ~MinSum & Known & M;
   return R;
 }
 

@@ -8,6 +8,44 @@
 
 using namespace bec;
 
+namespace {
+
+/// Cross-segment inference for the destination access point \p Ap of
+/// instruction \p P: the number of distinct classes of \p Ap that a run of
+/// a read register's segment already covers. An input-segment fault with a
+/// ToOutput fate at P is the same physical effect as the corresponding
+/// output fault, and if the analysis merged the two classes the input
+/// segment's run (scheduled when that segment opened) covers this class.
+/// Every covered class is a non-masked class of \p Ap.
+uint32_t countCoveredClasses(const BECAnalysis &A, uint32_t P, uint32_t Ap,
+                             const Reg Reads[2], unsigned NumReads,
+                             const int32_t ReadAps[2]) {
+  const FaultSpace &FS = A.space();
+  unsigned W = A.program().Width;
+  const InstrFates &F = A.fates(P);
+  std::array<uint32_t, 2 * 64> Covered{};
+  unsigned NumCovered = 0;
+  for (unsigned R = 0; R < NumReads; ++R) {
+    if (ReadAps[R] < 0)
+      continue;
+    uint32_t InAp = static_cast<uint32_t>(ReadAps[R]);
+    for (unsigned B = 0; B < W; ++B) {
+      Fate Ft = F.fate(Reads[R], B);
+      if (Ft.Kind != FateKind::ToOutput)
+        continue;
+      uint32_t InRep = A.classOf(FS.faultIndex(InAp, B));
+      if (InRep != 0 && InRep == A.classOf(FS.faultIndex(Ap, Ft.Arg)))
+        Covered[NumCovered++] = InRep;
+    }
+  }
+  std::sort(Covered.begin(), Covered.begin() + NumCovered);
+  return static_cast<uint32_t>(
+      std::unique(Covered.begin(), Covered.begin() + NumCovered) -
+      Covered.begin());
+}
+
+} // namespace
+
 FaultInjectionCounts
 bec::countFaultInjectionRuns(const BECAnalysis &A,
                              std::span<const uint32_t> Executed) {
@@ -22,7 +60,16 @@ bec::countFaultInjectionRuns(const BECAnalysis &A,
   std::array<int32_t, NumRegs> Governor;
   Governor.fill(-1);
 
-  std::vector<uint32_t> Reps; // scratch: distinct classes of a segment
+  // Covered-class counts already computed, keyed by (destination access
+  // point, governing access points of the reads): one short chain per
+  // access point, since a point sees few distinct governors.
+  struct Covering {
+    int32_t ReadAps[2];
+    uint32_t Classes;
+    int32_t Next;
+  };
+  std::vector<int32_t> FirstCovering(FS.numAccessPoints(), -1);
+  std::vector<Covering> Coverings;
 
   // A dynamic segment is accounted for when it *opens*: value-level
   // inject-on-read schedules `width` runs for every access of a register
@@ -38,7 +85,7 @@ bec::countFaultInjectionRuns(const BECAnalysis &A,
     // Capture the read registers' governing segments before updating.
     Reg Reads[2];
     unsigned NumReads = I.readRegs(Reads);
-    std::array<int32_t, 2> ReadAps = {-1, -1};
+    int32_t ReadAps[2] = {-1, -1};
     for (unsigned R = 0; R < NumReads; ++R)
       ReadAps[R] = Governor[Reads[R]];
 
@@ -53,48 +100,25 @@ bec::countFaultInjectionRuns(const BECAnalysis &A,
       unsigned Masked = popCount(Summary.MaskedMask, W);
       Counts.MaskedBits += Masked;
 
-      Reps.clear();
-      for (unsigned B = 0; B < W; ++B)
-        if (!(Summary.MaskedMask & (uint64_t(1) << B)))
-          Reps.push_back(A.classOf(FS.faultIndex(Ap, B)));
-      std::sort(Reps.begin(), Reps.end());
-      Reps.erase(std::unique(Reps.begin(), Reps.end()), Reps.end());
-
-      // Cross-segment inference applies to the destination register: an
-      // input-segment fault with a ToOutput fate at this instruction is
-      // the same physical effect as the corresponding output fault, and
-      // if the analysis merged the two classes the input segment's run
-      // (already scheduled when that segment opened) covers this class.
-      uint64_t CoveredClasses = 0;
+      // Only the destination register has cross-segment coverage.
+      uint32_t CoveredClasses = 0;
       if (I.writesReg() && V == I.Rd) {
-        std::vector<uint32_t> Covered;
-        const InstrFates &F = A.fates(P);
-        for (unsigned R = 0; R < NumReads; ++R) {
-          if (ReadAps[R] < 0)
-            continue;
-          uint32_t InAp = static_cast<uint32_t>(ReadAps[R]);
-          for (unsigned B = 0; B < W; ++B) {
-            Fate Ft = F.fate(Reads[R], B);
-            if (Ft.Kind != FateKind::ToOutput)
-              continue;
-            uint32_t InRep = A.classOf(FS.faultIndex(InAp, B));
-            if (InRep == 0)
-              continue;
-            // Merged classes mean the input-segment run (scheduled when
-            // that segment opened) subsumes this output class.
-            if (InRep == A.classOf(FS.faultIndex(Ap, Ft.Arg)))
-              Covered.push_back(InRep);
-          }
+        int32_t K = FirstCovering[Ap];
+        while (K >= 0 && (Coverings[K].ReadAps[0] != ReadAps[0] ||
+                          Coverings[K].ReadAps[1] != ReadAps[1]))
+          K = Coverings[K].Next;
+        if (K < 0) {
+          K = static_cast<int32_t>(Coverings.size());
+          Coverings.push_back(
+              {{ReadAps[0], ReadAps[1]},
+               countCoveredClasses(A, P, Ap, Reads, NumReads, ReadAps),
+               FirstCovering[Ap]});
+          FirstCovering[Ap] = K;
         }
-        std::sort(Covered.begin(), Covered.end());
-        Covered.erase(std::unique(Covered.begin(), Covered.end()),
-                      Covered.end());
-        for (uint32_t Rep : Covered)
-          if (std::binary_search(Reps.begin(), Reps.end(), Rep))
-            ++CoveredClasses;
+        CoveredClasses = Coverings[K].Classes;
       }
 
-      uint64_t Probes = Reps.size() - CoveredClasses;
+      uint64_t Probes = Summary.NumProbes - CoveredClasses;
       Counts.BitLevelRuns += Probes;
       Counts.InferrableBits += W - Masked - Probes;
     }

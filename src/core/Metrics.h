@@ -47,6 +47,12 @@ struct FaultInjectionCounts {
 
 /// Counts fault-injection runs over the dynamic trace \p Executed
 /// (instruction index per cycle, as produced by the simulator).
+///
+/// A segment's bit-level runs are its distinct non-masked classes
+/// (PointSummary::NumProbes) minus the classes a run of a read register's
+/// segment already covers. That covered count depends only on the key
+/// (destination access point, governing access points of the reads), so
+/// it is computed once per distinct key and reused on every later cycle.
 FaultInjectionCounts countFaultInjectionRuns(const BECAnalysis &A,
                                              std::span<const uint32_t> Executed);
 

@@ -3,7 +3,9 @@
 #include "analysis/BitValueAnalysis.h"
 #include "analysis/Liveness.h"
 #include "analysis/UseDef.h"
+#include "fuzz/Generator.h"
 #include "ir/AsmParser.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,87 @@ main:
   for (unsigned B = 1; B < 32; ++B)
     EXPECT_EQ(K.bit(B), BitValue::Zero);
   EXPECT_EQ(K.bit(0), BitValue::Top);
+}
+
+/// Checks that \p A is a fixed point of the bit-value equations of \p Prog,
+/// using only the public queries (not how the solver reached it):
+///  * every executable instruction's before() is the meet of after() over
+///    its feasible incoming edges, plus the entry state at the entry;
+///  * after() is evalResult() applied to before() for the destination and
+///    before() for every other register;
+///  * no non-executable instruction has a feasible incoming edge from an
+///    executable one.
+void expectFixedPoint(const Program &Prog, const BitValueAnalysis &A) {
+  unsigned W = Prog.Width;
+  auto StateBefore = [&](uint32_t P) {
+    RegState S;
+    for (Reg V = 0; V < NumRegs; ++V)
+      S[V] = A.before(P, V);
+    return S;
+  };
+  // An edge Pred -> Succs[Slot] is feasible if Pred is executable and, for
+  // a two-way conditional branch, the abstract condition allows the slot
+  // (slot 0 is the fallthrough, slot 1 the taken edge).
+  auto Feasible = [&](uint32_t Pred, uint32_t Slot) {
+    if (!A.isExecutable(Pred))
+      return false;
+    const Instruction &I = Prog.instr(Pred);
+    if (!isConditionalBranch(I.Op) || Prog.succs(Pred).size() == 1)
+      return true;
+    BitValue Cond = BitValueAnalysis::evalBranch(I, StateBefore(Pred), W);
+    return Slot == 0 ? Cond != BitValue::One : Cond != BitValue::Zero;
+  };
+
+  ASSERT_TRUE(A.isExecutable(Prog.Entry)) << Prog.Name;
+  for (uint32_t P = 0; P < Prog.size(); ++P) {
+    RegState Meet;
+    for (Reg V = 0; V < NumRegs; ++V)
+      Meet[V] = P != Prog.Entry ? KnownBits::bottom(W)
+                : V == RegZero  ? KnownBits::constant(0, W)
+                                : KnownBits::top(W);
+    bool AnyFeasibleIn = false;
+    for (uint32_t Pred : Prog.preds(P)) {
+      const auto &Succs = Prog.succs(Pred);
+      for (uint32_t Slot = 0; Slot < Succs.size(); ++Slot) {
+        if (Succs[Slot] != P || !Feasible(Pred, Slot))
+          continue;
+        AnyFeasibleIn = true;
+        for (Reg V = 0; V < NumRegs; ++V)
+          Meet[V] = KnownBits::meet(Meet[V], A.after(Pred, V));
+      }
+    }
+    if (!A.isExecutable(P)) {
+      EXPECT_FALSE(AnyFeasibleIn)
+          << Prog.Name << " p" << P << " has a feasible edge in";
+      continue;
+    }
+    const Instruction &I = Prog.instr(P);
+    for (Reg V = 0; V < NumRegs; ++V) {
+      ASSERT_EQ(A.before(P, V), Meet[V])
+          << Prog.Name << " before p" << P << " r" << unsigned(V);
+      KnownBits Want = I.writesReg() && V == I.Rd
+                           ? BitValueAnalysis::evalResult(I, StateBefore(P), W)
+                           : A.before(P, V);
+      ASSERT_EQ(A.after(P, V), Want)
+          << Prog.Name << " after p" << P << " r" << unsigned(V);
+    }
+  }
+}
+
+TEST(BitValues, KernelsReachAFixedPoint) {
+  for (const Workload &W : allWorkloads()) {
+    Program P = loadWorkload(W);
+    expectFixedPoint(P, BitValueAnalysis::run(P));
+  }
+}
+
+TEST(BitValues, GeneratedProgramsReachAFixedPoint) {
+  for (uint64_t I = 0; I < 200; ++I) {
+    fuzz::GeneratedProgram G =
+        fuzz::generateProgram(fuzz::programSeed(0xb17fa1ull, I));
+    ASSERT_TRUE(G.Error.empty()) << G.Error;
+    expectFixedPoint(G.Prog, BitValueAnalysis::run(G.Prog));
+  }
 }
 
 } // namespace

@@ -206,6 +206,61 @@ INSTANTIATE_TEST_SUITE_P(
     AllOps, BinOpSoundness,
     ::testing::Range<size_t>(0, BinOpSoundness::cases().size()), binOpName);
 
+/// Bit-serial reference for KnownBits::add: ripples the set of possible
+/// carries through the bits, enumerating every operand/carry combination.
+static KnownBits rippleAdd(const KnownBits &A, const KnownBits &B) {
+  unsigned W = A.width();
+  KnownBits R = KnownBits::top(W);
+  bool CarryCan0 = true, CarryCan1 = false;
+  for (unsigned I = 0; I < W; ++I) {
+    // Bottom operand bits behave like Top (the operators normalize).
+    bool ACan0 = A.bit(I) != BitValue::One, ACan1 = A.bit(I) != BitValue::Zero;
+    bool BCan0 = B.bit(I) != BitValue::One, BCan1 = B.bit(I) != BitValue::Zero;
+    bool SumCan[2] = {false, false}, NextCan[2] = {false, false};
+    for (int AV = 0; AV <= 1; ++AV)
+      for (int BV = 0; BV <= 1; ++BV)
+        for (int CV = 0; CV <= 1; ++CV) {
+          if (!(AV ? ACan1 : ACan0) || !(BV ? BCan1 : BCan0) ||
+              !(CV ? CarryCan1 : CarryCan0))
+            continue;
+          int Sum = AV + BV + CV;
+          SumCan[Sum & 1] = true;
+          NextCan[Sum >= 2] = true;
+        }
+    if (SumCan[0] != SumCan[1])
+      R.setBit(I, SumCan[1] ? BitValue::One : BitValue::Zero);
+    CarryCan0 = NextCan[0];
+    CarryCan1 = NextCan[1];
+  }
+  return R;
+}
+
+/// Decodes \p Code as one base-4 digit (a BitValue) per bit.
+static KnownBits fromBase4(unsigned Code, unsigned W) {
+  KnownBits K = KnownBits::bottom(W);
+  for (unsigned B = 0; B < W; ++B, Code /= 4)
+    K.setBit(B, static_cast<BitValue>(Code % 4));
+  return K;
+}
+
+TEST(KnownBitsAdd, MatchesRippleReference) {
+  // Exhaustive over every pair of 4-bit lattice values, Bottom included.
+  for (unsigned CA = 0; CA < 256; ++CA)
+    for (unsigned CB = 0; CB < 256; ++CB) {
+      KnownBits A = fromBase4(CA, 4), B = fromBase4(CB, 4);
+      ASSERT_EQ(KnownBits::add(A, B), rippleAdd(A, B))
+          << A.toString() << " + " << B.toString();
+    }
+  Xoshiro256 Rng(0xadd);
+  for (unsigned W : {8u, 32u, 64u})
+    for (int Trial = 0; Trial < 20000; ++Trial) {
+      KnownBits A = randomAbstract(Rng, W).first;
+      KnownBits B = randomAbstract(Rng, W).first;
+      ASSERT_EQ(KnownBits::add(A, B), rippleAdd(A, B))
+          << A.toString() << " + " << B.toString();
+    }
+}
+
 TEST(KnownBitsComparisons, SoundOnRandomValues) {
   Xoshiro256 Rng(77);
   for (unsigned W : {4u, 32u}) {

@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace bec;
 
 #ifndef BEC_OBS_DISABLED
@@ -376,11 +378,15 @@ TEST(Trace, SpansFromABandonedTraceStayOutOfTheNext) {
 /// Redirects the logger into a temp file for one test and reads complete
 /// lines back. Restores the stderr sink, the Off level, the jsonl format
 /// and the default rate limit on scope exit, so no later test inherits
-/// an armed logger.
+/// an armed logger. The file is named after the test and the process, so
+/// tests running in parallel processes never share (and remove) it.
 struct LogCapture {
   std::string Path;
 
-  LogCapture() : Path(testing::TempDir() + "/obstest_log.txt") {
+  LogCapture()
+      : Path(testing::TempDir() + "/obstest_log_" +
+             testing::UnitTest::GetInstance()->current_test_info()->name() +
+             "_" + std::to_string(getpid()) + ".txt") {
     std::remove(Path.c_str());
     std::string Err;
     EXPECT_TRUE(obs::openLogFile(Path, Err)) << Err;
