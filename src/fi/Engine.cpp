@@ -3,6 +3,7 @@
 #include "fi/Engine.h"
 
 #include "fi/Checkpoint.h"
+#include "fi/SuffixMemo.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -22,28 +23,6 @@ using namespace bec;
 
 namespace {
 
-FaultEffect classifyRun(const Trace &T, const Trace &Golden) {
-  if (T.TraceHash == Golden.TraceHash)
-    return FaultEffect::Masked;
-  if (T.End == Outcome::Trap)
-    return FaultEffect::Trap;
-  if (T.End == Outcome::Hang)
-    return FaultEffect::Hang;
-  if (T.ObservableHash == Golden.ObservableHash)
-    return FaultEffect::Benign;
-  return FaultEffect::SDC;
-}
-
-/// Everything a finished run contributes to the report: enough to
-/// classify (classifySuffix), dedup the trace archive, and size it.
-/// Memoized per reachable checkpoint state — see suffixStateKey.
-struct SettledSuffix {
-  uint64_t TraceHash = 0;
-  uint64_t ObsHash = 0;
-  Outcome End = Outcome::Finished;
-  uint64_t Bytes = 0; ///< The full run's approxByteSize().
-};
-
 FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
   if (S.TraceHash == Golden.TraceHash)
     return FaultEffect::Masked;
@@ -54,43 +33,6 @@ FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
   if (S.ObsHash == Golden.ObservableHash)
     return FaultEffect::Benign;
   return FaultEffect::SDC;
-}
-
-/// Identity of an in-flight run's continuation, taken at a checkpoint
-/// boundary. Two runs with equal keys finish identically, so the first
-/// one to complete settles every later one — the paper's fault-site
-/// equivalence classes, recovered dynamically:
-///
-///  * The full-trace hash cursor covers the PC of every executed step
-///    and the address and value of every store, so equal cursors mean
-///    identical paths and identical memory (the same hash-equality
-///    trust the Masked classification rests on). Memory therefore
-///    never needs hashing here.
-///  * Live registers pin down everything the continuation can still
-///    read. A register outside liveInMask(PC) is read on no path
-///    before being redefined, so a lingering flip there cannot
-///    influence any future instruction, side effect or outcome — which
-///    is also why a masked fault's state keys equal to the *golden*
-///    checkpoint at the same cycle and splices without replaying the
-///    suffix.
-uint64_t suffixStateKey(uint64_t Cycle, uint32_t PC, uint64_t FullHash,
-                        uint64_t ObsHash, const Machine &M,
-                        const std::vector<uint32_t> *LiveIn) {
-  TraceHasher H;
-  H.absorb(0x5faceca11u); // Format tag.
-  H.absorb(Cycle);
-  H.absorb(PC);
-  H.absorb(FullHash);
-  H.absorb(ObsHash);
-  // No live-in mask for this PC = key strictly (mask of all ones).
-  uint32_t Live = LiveIn && PC < LiveIn->size() ? (*LiveIn)[PC]
-                                                : ~uint32_t(0);
-  for (unsigned R = 1; R < NumRegs; ++R)
-    if ((Live >> R) & 1) {
-      H.absorb(R);
-      H.absorb(M.reg(static_cast<Reg>(R)));
-    }
-  return H.value();
 }
 
 /// Work-stealing shard scheduler: one deque per worker, seeded with a
@@ -182,22 +124,18 @@ struct EngineState {
   /// runs complete; every value is a pure function of its key, so
   /// sharing across threads cannot change a result byte.
   std::mutex MemoMutex;
-  std::unordered_map<uint64_t, SettledSuffix> SuffixMemo;
+  SuffixMemo Memo;
 
-  std::optional<SettledSuffix> memoLookup(uint64_t Key) {
+  std::optional<SettledSuffix> memoLookup(const SuffixKey &Key) {
     std::lock_guard<std::mutex> Lock(MemoMutex);
-    auto It = SuffixMemo.find(Key);
-    if (It == SuffixMemo.end())
-      return std::nullopt;
-    return It->second;
+    return Memo.find(Key);
   }
-  void memoInsert(const std::vector<uint64_t> &Keys,
+  void memoInsert(const std::vector<SuffixKey> &Keys,
                   const SettledSuffix &S) {
     if (Keys.empty())
       return;
     std::lock_guard<std::mutex> Lock(MemoMutex);
-    for (uint64_t K : Keys)
-      SuffixMemo.emplace(K, S);
+    Memo.insert(Keys, S);
   }
 
   /// Index of the first checkpoint with cycle >= \p Cycle (a checkpoint
@@ -282,11 +220,19 @@ uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
   return Us < 0 ? 0 : uint64_t(Us);
 }
 
+/// A worker's interpreters and key buffer, kept across its shards: the
+/// walker advancing along the golden run, the fork buffer each injected
+/// run is copied into, and the keys a run passes before it completes.
+struct WorkerBuffers {
+  std::optional<Interpreter> Walker;
+  std::optional<Interpreter> Fork;
+  std::vector<SuffixKey> Visited;
+};
+
 /// Executes one shard: advances this worker's walker to each injection
 /// cycle, forks, flips, runs to completion and classifies.
 void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
-                  std::optional<Interpreter> &Walker, bool Stolen,
-                  WorkerStats &WS) {
+                  WorkerBuffers &Buf, bool Stolen, WorkerStats &WS) {
   static const obs::Histogram ShardUs("engine.shard.us");
   static const obs::Counter CtrRestored("fi.checkpoints.restored");
   static const obs::Histogram RestoreUsHist("fi.checkpoint.restore.us");
@@ -294,6 +240,7 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
   auto ShardStart = std::chrono::steady_clock::now();
   uint64_t RebuildUs = 0, RestoreUs = 0;
   uint64_t ShardSimCycles = 0;
+  std::optional<Interpreter> &Walker = Buf.Walker;
 
   auto [Lo, Hi] = St.shardRange(Shard);
   uint64_t FirstCycle = (*St.Runs)[St.Order[Lo]].AfterCycle;
@@ -332,12 +279,18 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     WS.RebuildUs += RebuildUs;
   }
   uint64_t WalkerFrom = Walker->cycle();
-  std::vector<uint64_t> Visited; // Keys passed on the way to completion.
+  std::vector<SuffixKey> &Visited = Buf.Visited;
   for (uint64_t K = Lo; K < Hi; ++K) {
     uint32_t Idx = St.Order[K];
     const PlannedRun &Run = (*St.Runs)[Idx];
     Walker->runToCycle(Run.AfterCycle);
-    Interpreter Forked = *Walker;
+    // Fork into the worker's reused buffer: copy-assignment keeps the
+    // memory image's allocation, so a fork is a copy, not a heap churn.
+    if (Buf.Fork)
+      *Buf.Fork = *Walker;
+    else
+      Buf.Fork.emplace(*Walker);
+    Interpreter &Forked = *Buf.Fork;
     Forked.machine().flipRegBit(Run.R, Run.Bit);
     // Convergence splicing: pause the faulty run at each checkpoint
     // cycle and key its continuation (suffixStateKey). A memo hit —
@@ -353,32 +306,30 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
       Forked.runToCycle(St.Ckpts[Ck].CycleCount);
       if (Forked.done())
         break;
-      uint64_t Key = suffixStateKey(Forked.cycle(), Forked.pc(),
-                                    Forked.fullHashState(),
-                                    Forked.obsHashState(),
-                                    Forked.machine(), St.LiveIn);
+      SuffixKey Key = suffixStateKey(Forked.cycle(), Forked.pc(),
+                                     Forked.fullHashState(),
+                                     Forked.obsHashState(),
+                                     Forked.machine(), St.LiveIn);
       Hit = St.memoLookup(Key);
       if (Hit)
         break;
       Visited.push_back(Key);
     }
+    // A memoized continuation reproduces this run's trace byte for byte,
+    // so the slots take exactly what a full replay would have produced:
+    // its final hash and its (recording-off) archive size.
+    SettledSuffix End;
     if (Hit) {
-      // The memoized continuation reproduces this run's trace byte for
-      // byte, so the slots take exactly what a full replay would have
-      // produced: its final hash and its (recording-off) archive size.
-      St.Effects[Idx] = classifySuffix(*Hit, *St.Golden);
-      St.Hashes[Idx] = Hit->TraceHash;
-      St.Bytes[Idx] = Hit->Bytes;
+      End = *Hit;
       ++WS.Spliced;
     } else {
       Forked.run();
-      Trace T = Forked.takeTrace();
-      St.Effects[Idx] = classifyRun(T, *St.Golden);
-      St.Hashes[Idx] = T.TraceHash;
-      St.Bytes[Idx] = T.approxByteSize();
-      St.memoInsert(Visited, {T.TraceHash, T.ObservableHash, T.End,
-                              T.approxByteSize()});
+      End = SettledSuffix::of(Forked.takeTrace());
+      St.memoInsert(Visited, End);
     }
+    St.Effects[Idx] = classifySuffix(End, *St.Golden);
+    St.Hashes[Idx] = End.TraceHash;
+    St.Bytes[Idx] = End.Bytes;
     ShardSimCycles += Forked.cycle() - Run.AfterCycle;
   }
   ShardSimCycles += Walker->cycle() - WalkerFrom;
@@ -456,7 +407,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
 
   WorkerStats WS;
   auto WallStart = std::chrono::steady_clock::now();
-  std::optional<Interpreter> Walker;
+  WorkerBuffers Buf;
   while (!St.Stop.load()) {
     // Time spent waiting on the scheduler lock or finding a victim is
     // the other half of the scaling story next to rebuilds.
@@ -470,7 +421,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
       ++WS.Steals;
       St.Steals.fetch_add(1, std::memory_order_relaxed);
     }
-    executeShard(St, *Shard, Me, Walker, Stolen, WS);
+    executeShard(St, *Shard, Me, Buf, Stolen, WS);
   }
 
   CtrRuns.add(WS.Runs);
@@ -581,16 +532,13 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
       // The golden continuation is the first memo entry at every
       // checkpoint: a masked fault whose live state reconverges with
       // the golden run keys equal to it and splices immediately.
-      SettledSuffix GoldenEnd{St.GoldenFinal.TraceHash,
-                              St.GoldenFinal.ObservableHash,
-                              St.GoldenFinal.End,
-                              St.GoldenFinal.approxByteSize()};
+      std::vector<SuffixKey> GoldenKeys;
+      GoldenKeys.reserve(St.Ckpts.size());
       for (const MachineState &CS : St.Ckpts)
-        St.SuffixMemo.emplace(suffixStateKey(CS.CycleCount, CS.PC,
-                                             CS.FullHashState,
-                                             CS.ObsHashState, CS.M,
-                                             St.LiveIn),
-                              GoldenEnd);
+        GoldenKeys.push_back(suffixStateKey(CS.CycleCount, CS.PC,
+                                            CS.FullHashState, CS.ObsHashState,
+                                            CS.M, St.LiveIn));
+      St.Memo.insert(GoldenKeys, SettledSuffix::of(St.GoldenFinal));
       CtrCreated.add(St.Ckpts.size());
       CtrCkBytes.add(St.CkBytes);
     }
@@ -662,13 +610,22 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     }
   }
 
-  if (Workers <= 1 || Pending.empty()) {
-    workerLoop(St, Sched, 0);
-  } else {
-    ThreadPool Pool(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      Pool.submit([&St, &Sched, W] { workerLoop(St, Sched, W); });
-    Pool.wait();
+  {
+    // Covers the workers, during which the suffix memo grows; closes
+    // with the memo's final size (keys held, heap bytes).
+    static const obs::Counter CtrMemoEntries("fi.memo.entries");
+    obs::Span SpanMemo(St.PrefixCk ? "fi.memo" : "");
+    if (Workers <= 1 || Pending.empty()) {
+      workerLoop(St, Sched, 0);
+    } else {
+      ThreadPool Pool(Workers);
+      for (unsigned W = 0; W < Workers; ++W)
+        Pool.submit([&St, &Sched, W] { workerLoop(St, Sched, W); });
+      Pool.wait();
+    }
+    CtrMemoEntries.add(St.Memo.size());
+    SpanMemo.arg("memo_entries", St.Memo.size());
+    SpanMemo.arg("memo_bytes", St.Memo.byteSize());
   }
 
   if (!St.Error.empty()) {
