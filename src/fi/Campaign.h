@@ -170,9 +170,9 @@ struct CampaignResult {
   uint64_t SnapshotRebuilds = 0;
   /// Prefix-checkpoint telemetry (PlanOptions::PrefixCheckpoint): golden
   /// snapshots taken and their serialized size, walker restores from the
-  /// table, and runs whose verdict was spliced from the golden
-  /// continuation after their state reconverged at a checkpoint
-  /// boundary. Like Steals, never rendered into reports.
+  /// table, and runs whose verdict was spliced at a checkpoint boundary
+  /// (reconverged with the golden run, or hit their worker's suffix
+  /// memo). Like Steals, never rendered into reports.
   uint64_t CheckpointsCreated = 0;
   uint64_t CheckpointBytes = 0;
   uint64_t CheckpointRestores = 0;
@@ -181,7 +181,8 @@ struct CampaignResult {
   /// checkpoint pass + walker advances + injected forks): the
   /// deterministic work metric behind the prefix-checkpoint speedup
   /// asserts. Schedule-dependent across thread counts (rebuild replay
-  /// varies with stealing), deterministic at one thread.
+  /// varies with stealing, memo hits with which worker ran which
+  /// shard), deterministic at one thread.
   uint64_t SimulatedCycles = 0;
   /// True when execution stopped before every shard completed (the
   /// StopAfterShards interruption hook); aggregate fields then cover the

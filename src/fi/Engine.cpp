@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -108,34 +109,31 @@ struct EngineState {
   uint64_t StopAfterShards = 0;
 
   /// Prefix-checkpoint table: golden MachineState snapshots in ascending
-  /// cycle order (built once before the workers start), the golden
-  /// replay they came from, and the plan's live-in masks for the
+  /// cycle order (built once before the workers start), how the golden
+  /// replay they came from ends (the suffix every run that reconverges
+  /// with a checkpoint splices to), and the plan's live-in masks for the
   /// convergence test. Empty/false when the plan runs without prefix
   /// checkpoints.
   bool PrefixCk = false;
   std::vector<MachineState> Ckpts;
   const std::vector<uint32_t> *LiveIn = nullptr;
-  Trace GoldenFinal;
+  SettledSuffix GoldenSuffix;
   uint64_t CkBytes = 0;
 
-  /// Suffix memo: continuation identity (suffixStateKey) -> how that
-  /// continuation ends. Seeded with the golden checkpoints (so masked
-  /// faults splice into the golden verdict) and grown by workers as
-  /// runs complete; every value is a pure function of its key, so
-  /// sharing across threads cannot change a result byte.
-  std::mutex MemoMutex;
-  SuffixMemo Memo;
-
-  std::optional<SettledSuffix> memoLookup(const SuffixKey &Key) {
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    return Memo.find(Key);
-  }
-  void memoInsert(const std::vector<SuffixKey> &Keys,
-                  const SettledSuffix &S) {
-    if (Keys.empty())
-      return;
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    Memo.insert(Keys, S);
+  /// Whether \p I, paused at checkpoint \p G's cycle, has reconverged
+  /// with the golden run: same PC, same trace cursors, and the same value
+  /// in every register live into that PC. A direct comparison, so the
+  /// golden splice trusts no key, only the cursors (as Masked does).
+  bool reconverged(const Interpreter &I, const MachineState &G) const {
+    if (I.pc() != G.PC || I.fullHashState() != G.FullHashState ||
+        I.obsHashState() != G.ObsHashState)
+      return false;
+    for (uint32_t Rest = liveKeyMask(G.PC, LiveIn); Rest; Rest &= Rest - 1) {
+      Reg R = static_cast<Reg>(std::countr_zero(Rest));
+      if (I.machine().reg(R) != G.M.reg(R))
+        return false;
+    }
+    return true;
   }
 
   /// Index of the first checkpoint with cycle >= \p Cycle (a checkpoint
@@ -170,6 +168,9 @@ struct EngineState {
   std::atomic<uint64_t> CkRestores{0};
   std::atomic<uint64_t> SplicedRuns{0};
   std::atomic<uint64_t> SimCycles{0};
+  /// Sums over the workers' suffix memos, taken as each worker exits.
+  std::atomic<uint64_t> MemoEntries{0};
+  std::atomic<uint64_t> MemoBytes{0};
 
   std::mutex ProgressMutex;
   CampaignProgress Progress;
@@ -204,13 +205,14 @@ struct WorkerStats {
   uint64_t Shards = 0;
   uint64_t Steals = 0;
   uint64_t Rebuilds = 0;
-  uint64_t Restores = 0;  ///< Walker restores from a golden checkpoint.
-  uint64_t Spliced = 0;   ///< Runs settled by convergence splicing.
-  uint64_t SimCycles = 0; ///< Interpreter instructions stepped.
-  uint64_t SchedUs = 0;   ///< In Sched.next: lock wait + victim scan.
-  uint64_t RunUs = 0;     ///< Shard execution minus rebuilds.
-  uint64_t RebuildUs = 0; ///< Snapshot rebuilds incl. prefix catch-up.
-  uint64_t RestoreUs = 0; ///< Portion of RebuildUs inside restore().
+  uint64_t Restores = 0;      ///< Walker restores from a golden checkpoint.
+  uint64_t GoldenSplices = 0; ///< Runs spliced into the golden suffix.
+  uint64_t MemoSplices = 0;   ///< Runs spliced from this worker's memo.
+  uint64_t SimCycles = 0;     ///< Interpreter instructions stepped.
+  uint64_t SchedUs = 0;       ///< In Sched.next: lock wait + victim scan.
+  uint64_t RunUs = 0;         ///< Shard execution minus rebuilds.
+  uint64_t RebuildUs = 0;     ///< Snapshot rebuilds incl. prefix catch-up.
+  uint64_t RestoreUs = 0;     ///< Portion of RebuildUs inside restore().
 };
 
 uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
@@ -220,13 +222,24 @@ uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
   return Us < 0 ? 0 : uint64_t(Us);
 }
 
-/// A worker's interpreters and key buffer, kept across its shards: the
-/// walker advancing along the golden run, the fork buffer each injected
-/// run is copied into, and the keys a run passes before it completes.
+/// Convergence-memo window: continuation keys are computed, probed and
+/// recorded only at the first MemoWindow checkpoint boundaries after a
+/// run's injection. Runs that reconverge with each other almost always
+/// do so within a few boundaries; keys taken deeper are nearly never hit
+/// again but fill the table. Past the window only the golden check runs.
+constexpr size_t MemoWindow = 16;
+
+/// A worker's interpreters, key buffer and suffix memo, kept across its
+/// shards: the walker advancing along the golden run, the fork buffer
+/// each injected run is copied into, the keys a run passes before it
+/// completes, and the continuations this worker's runs have settled.
+/// Memo verdicts are pure functions of their keys, so which worker
+/// settled a key cannot change a result; a private memo needs no lock.
 struct WorkerBuffers {
   std::optional<Interpreter> Walker;
   std::optional<Interpreter> Fork;
   std::vector<SuffixKey> Visited;
+  SuffixMemo Memo;
 };
 
 /// Executes one shard: advances this worker's walker to each injection
@@ -293,40 +306,48 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     Interpreter &Forked = *Buf.Fork;
     Forked.machine().flipRegBit(Run.R, Run.Bit);
     // Convergence splicing: pause the faulty run at each checkpoint
-    // cycle and key its continuation (suffixStateKey). A memo hit —
-    // the golden continuation for reconverged masked faults, or an
-    // earlier run of the same dynamic fault class otherwise — settles
-    // the run without executing its suffix. A run that completes for
-    // real settles every key it passed, so each distinct continuation
-    // executes once per campaign.
+    // cycle. A run that has reconverged with the golden checkpoint there
+    // settles to the golden suffix. Within the memo window it is also
+    // keyed (suffixStateKey); a hit in this worker's memo — an earlier
+    // run of the same dynamic fault class — settles it too. Either way
+    // the suffix is not executed. Every key the run passed on the way
+    // leads to the same end, so the memo learns them all, spliced or not.
     std::optional<SettledSuffix> Hit;
     Visited.clear();
-    for (size_t Ck = St.firstCheckpointAtOrAfter(Run.AfterCycle);
-         Ck < St.Ckpts.size(); ++Ck) {
+    size_t First = St.firstCheckpointAtOrAfter(Run.AfterCycle);
+    for (size_t Ck = First; Ck < St.Ckpts.size(); ++Ck) {
       Forked.runToCycle(St.Ckpts[Ck].CycleCount);
       if (Forked.done())
         break;
+      if (St.reconverged(Forked, St.Ckpts[Ck])) {
+        Hit = St.GoldenSuffix;
+        ++WS.GoldenSplices;
+        break;
+      }
+      if (Ck - First >= MemoWindow)
+        continue;
       SuffixKey Key = suffixStateKey(Forked.cycle(), Forked.pc(),
                                      Forked.fullHashState(),
                                      Forked.obsHashState(),
                                      Forked.machine(), St.LiveIn);
-      Hit = St.memoLookup(Key);
-      if (Hit)
+      Hit = Buf.Memo.find(Key);
+      if (Hit) {
+        ++WS.MemoSplices;
         break;
+      }
       Visited.push_back(Key);
     }
-    // A memoized continuation reproduces this run's trace byte for byte,
+    // A settled continuation reproduces this run's trace byte for byte,
     // so the slots take exactly what a full replay would have produced:
     // its final hash and its (recording-off) archive size.
     SettledSuffix End;
     if (Hit) {
       End = *Hit;
-      ++WS.Spliced;
     } else {
       Forked.run();
       End = SettledSuffix::of(Forked.takeTrace());
-      St.memoInsert(Visited, End);
     }
+    Buf.Memo.insert(Visited, End);
     St.Effects[Idx] = classifySuffix(End, *St.Golden);
     St.Hashes[Idx] = End.TraceHash;
     St.Bytes[Idx] = End.Bytes;
@@ -398,6 +419,8 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   static const obs::Counter CtrSteals("engine.steals");
   static const obs::Counter CtrRebuilds("engine.snapshot_rebuilds");
   static const obs::Counter CtrIdleUs("engine.idle.us");
+  static const obs::Counter CtrGoldenSplices("fi.splice.golden");
+  static const obs::Counter CtrMemoSplices("fi.splice.memo");
 
   if (obs::traceActive())
     obs::setTraceThreadName("fi-worker-" + std::to_string(Me));
@@ -429,14 +452,21 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   CtrSteals.add(WS.Steals);
   CtrRebuilds.add(WS.Rebuilds);
   CtrIdleUs.add(WS.SchedUs);
-  St.SplicedRuns.fetch_add(WS.Spliced, std::memory_order_relaxed);
+  CtrGoldenSplices.add(WS.GoldenSplices);
+  CtrMemoSplices.add(WS.MemoSplices);
+  uint64_t Spliced = WS.GoldenSplices + WS.MemoSplices;
+  St.SplicedRuns.fetch_add(Spliced, std::memory_order_relaxed);
   St.SimCycles.fetch_add(WS.SimCycles, std::memory_order_relaxed);
+  St.MemoEntries.fetch_add(Buf.Memo.size(), std::memory_order_relaxed);
+  St.MemoBytes.fetch_add(Buf.Memo.byteSize(), std::memory_order_relaxed);
   SpanWorker.arg("runs", WS.Runs);
   SpanWorker.arg("shards", WS.Shards);
   SpanWorker.arg("steals", WS.Steals);
   SpanWorker.arg("snapshot_rebuilds", WS.Rebuilds);
   SpanWorker.arg("restores", WS.Restores);
-  SpanWorker.arg("spliced_runs", WS.Spliced);
+  SpanWorker.arg("spliced_runs", Spliced);
+  SpanWorker.arg("golden_splices", WS.GoldenSplices);
+  SpanWorker.arg("memo_splices", WS.MemoSplices);
   SpanWorker.arg("idle_us", WS.SchedUs);
 
   if (St.CollectProfile) {
@@ -519,8 +549,8 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     }
     GoldenWalk.run();
     St.SimCycles.fetch_add(GoldenWalk.cycle(), std::memory_order_relaxed);
-    St.GoldenFinal = GoldenWalk.takeTrace();
-    if (St.GoldenFinal.TraceHash != Golden.TraceHash) {
+    Trace GoldenFinal = GoldenWalk.takeTrace();
+    if (GoldenFinal.TraceHash != Golden.TraceHash) {
       // The caller's golden trace disagrees with a fresh replay (a
       // hand-built trace, or a MaxCycles mismatch). Splicing against it
       // would be unsound, so fall back to full suffix execution.
@@ -529,16 +559,7 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     } else {
       St.PrefixCk = true;
       St.LiveIn = &Plan->liveInMasks();
-      // The golden continuation is the first memo entry at every
-      // checkpoint: a masked fault whose live state reconverges with
-      // the golden run keys equal to it and splices immediately.
-      std::vector<SuffixKey> GoldenKeys;
-      GoldenKeys.reserve(St.Ckpts.size());
-      for (const MachineState &CS : St.Ckpts)
-        GoldenKeys.push_back(suffixStateKey(CS.CycleCount, CS.PC,
-                                            CS.FullHashState, CS.ObsHashState,
-                                            CS.M, St.LiveIn));
-      St.Memo.insert(GoldenKeys, SettledSuffix::of(St.GoldenFinal));
+      St.GoldenSuffix = SettledSuffix::of(GoldenFinal);
       CtrCreated.add(St.Ckpts.size());
       CtrCkBytes.add(St.CkBytes);
     }
@@ -611,8 +632,8 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   }
 
   {
-    // Covers the workers, during which the suffix memo grows; closes
-    // with the memo's final size (keys held, heap bytes).
+    // Covers the workers, during which their suffix memos grow; closes
+    // with the memos' final size summed over workers (keys, heap bytes).
     static const obs::Counter CtrMemoEntries("fi.memo.entries");
     obs::Span SpanMemo(St.PrefixCk ? "fi.memo" : "");
     if (Workers <= 1 || Pending.empty()) {
@@ -623,9 +644,10 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
         Pool.submit([&St, &Sched, W] { workerLoop(St, Sched, W); });
       Pool.wait();
     }
-    CtrMemoEntries.add(St.Memo.size());
-    SpanMemo.arg("memo_entries", St.Memo.size());
-    SpanMemo.arg("memo_bytes", St.Memo.byteSize());
+    uint64_t MemoEntries = St.MemoEntries.load(std::memory_order_relaxed);
+    CtrMemoEntries.add(MemoEntries);
+    SpanMemo.arg("memo_entries", MemoEntries);
+    SpanMemo.arg("memo_bytes", St.MemoBytes.load(std::memory_order_relaxed));
   }
 
   if (!St.Error.empty()) {

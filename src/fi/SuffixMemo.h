@@ -76,6 +76,16 @@ private:
 
 } // namespace detail
 
+/// The registers that pin down a continuation at \p PC: its live-in
+/// mask, or every register when the plan carries none for this PC
+/// (key strictly). x0 is hardwired to zero and never compared.
+inline uint32_t liveKeyMask(uint32_t PC,
+                            const std::vector<uint32_t> *LiveIn) {
+  uint32_t Live = LiveIn && PC < LiveIn->size() ? (*LiveIn)[PC]
+                                                : ~uint32_t(0);
+  return Live & ~uint32_t(1);
+}
+
 /// Identity of an in-flight run's continuation, taken at a checkpoint
 /// boundary. Two runs with equal keys finish identically, so the first
 /// one to complete settles every later one — the paper's fault-site
@@ -86,13 +96,12 @@ private:
 ///    identical paths and identical memory (the same hash-equality
 ///    trust the Masked classification rests on). Memory therefore
 ///    never needs hashing here.
-///  * Live registers pin down everything the continuation can still
-///    read. A register outside liveInMask(PC) is read on no path
-///    before being redefined, so a lingering flip there cannot
-///    influence any future instruction, side effect or outcome — which
-///    is also why a masked fault's state keys equal to the *golden*
-///    checkpoint at the same cycle and splices without replaying the
-///    suffix.
+///  * Live registers (liveKeyMask) pin down everything the continuation
+///    can still read. A register outside liveInMask(PC) is read on no
+///    path before being redefined, so a lingering flip there cannot
+///    influence any future instruction, side effect or outcome. The
+///    engine's golden-reconvergence check compares the same fields
+///    directly instead of keying them.
 ///
 /// The live mask is absorbed before the values it selects, so the word
 /// sequence decodes uniquely back into the keyed fields.
@@ -105,11 +114,7 @@ inline SuffixKey suffixStateKey(uint64_t Cycle, uint32_t PC,
   H.absorb(PC);
   H.absorb(FullHash);
   H.absorb(ObsHash);
-  // No live-in mask for this PC = key strictly (mask of all ones). x0
-  // is hardwired to zero and never keyed.
-  uint32_t Live = LiveIn && PC < LiveIn->size() ? (*LiveIn)[PC]
-                                                : ~uint32_t(0);
-  Live &= ~uint32_t(1);
+  uint32_t Live = liveKeyMask(PC, LiveIn);
   H.absorb(Live);
   for (uint32_t Rest = Live; Rest; Rest &= Rest - 1)
     H.absorb(M.reg(static_cast<Reg>(std::countr_zero(Rest))));
@@ -121,9 +126,9 @@ inline SuffixKey suffixStateKey(uint64_t Cycle, uint32_t PC,
 /// at 3/4 load). Each slot holds the full 128-bit key and a 32-bit
 /// reference into a vector of settled suffixes; reference 0 marks an
 /// empty slot, so every key value — all-zero included — is storable.
-/// A run that completes settles all its new keys with one suffix,
-/// stored once. The first insert of a key wins. Not thread-safe: the
-/// engine serializes access.
+/// A run settles all its new keys with one suffix, stored once. The
+/// first insert of a key wins. Not thread-safe: each engine worker owns
+/// one memo.
 class SuffixMemo {
 public:
   std::optional<SettledSuffix> find(const SuffixKey &K) const {

@@ -19,6 +19,7 @@
 #include "fi/Campaign.h"
 #include "fi/CampaignPlan.h"
 #include "fi/Engine.h"
+#include "fi/SuffixMemo.h"
 #include "ir/AsmParser.h"
 #include "sim/Interpreter.h"
 #include "workloads/Workloads.h"
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
 
 using namespace bec;
 
@@ -331,6 +333,152 @@ TEST(CheckpointEquivalence, AutoPlacementMatchesOffOnEveryPlanKind) {
     expectSameResult(ROff, ROn);
     EXPECT_GT(ROn.CheckpointsCreated, 0u);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Convergence splicing: the memo window and the golden check
+//===----------------------------------------------------------------------===//
+
+/// Whether \p I has reconverged with golden snapshot \p G at the same
+/// cycle: same PC, same trace cursors, same value in every register live
+/// into that PC (the engine's golden check, restated independently).
+bool reconvergedWith(const Interpreter &I, const MachineState &G,
+                     const std::vector<uint32_t> &LiveIn) {
+  if (I.pc() != G.PC || I.fullHashState() != G.FullHashState ||
+      I.obsHashState() != G.ObsHashState)
+    return false;
+  for (Reg R = 1; R < NumRegs; ++R)
+    if (((LiveIn[G.PC] >> R) & 1) && I.machine().reg(R) != G.M.reg(R))
+      return false;
+  return true;
+}
+
+TEST(CheckpointEquivalence, ConvergencePastTheMemoWindowMatchesOff) {
+  // With a snapshot every cycle the engine's memo window (16 boundaries)
+  // spans 16 cycles after injection. Exhaustive bitcount over 64 cycles
+  // has runs that first reconverge with the golden run later than that;
+  // past the window only the golden check can splice them, and the
+  // result must still equal full replay.
+  const Workload *W = findWorkload("bitcount");
+  ASSERT_NE(W, nullptr);
+  Program Prog = loadWorkload(*W);
+  BECAnalysis A = BECAnalysis::run(Prog);
+  Trace Golden = simulate(Prog);
+
+  PlanOptions On;
+  On.Kind = PlanKind::Exhaustive;
+  On.MaxCycles = 64;
+  On.CheckpointEveryK = 1;
+  PlanOptions Off = On;
+  Off.PrefixCheckpoint = false;
+  CampaignPlan OnPlan = CampaignPlan::build(A, Golden, On);
+  ASSERT_TRUE(OnPlan.prefixCheckpoint());
+
+  // The fixture really converges past the window: some run first meets
+  // the state an earlier-injected run reached at the same cycle (equal
+  // continuation keys) 16 or more cycles after its own injection.
+  RunOptions RO = hashOnly(Golden.Cycles);
+  std::vector<MachineState> Table = buildTable(Prog, RO, /*K=*/1);
+  auto KeyHash = [](const SuffixKey &K) { return size_t(K.Lo); };
+  std::unordered_map<SuffixKey, uint64_t, decltype(KeyHash)> FirstInjected(
+      0, KeyHash);
+  uint64_t PastWindow = 0;
+  for (const PlannedRun &Run : OnPlan.runs()) {
+    Interpreter I(Prog, RO);
+    I.restore(Table[Run.AfterCycle]);
+    I.machine().flipRegBit(Run.R, Run.Bit);
+    for (uint64_t C = Run.AfterCycle;
+         C < Table.size() && C <= Run.AfterCycle + 24; ++C) {
+      I.runToCycle(C);
+      if (I.done() || reconvergedWith(I, Table[C], OnPlan.liveInMasks()))
+        break;
+      SuffixKey Key =
+          suffixStateKey(I.cycle(), I.pc(), I.fullHashState(),
+                         I.obsHashState(), I.machine(), &OnPlan.liveInMasks());
+      auto [It, New] = FirstInjected.emplace(Key, Run.AfterCycle);
+      if (!New && It->second < Run.AfterCycle) {
+        PastWindow += C - Run.AfterCycle >= 16;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(PastWindow, 0u);
+
+  CampaignExecOptions Serial;
+  Serial.Threads = 1;
+  CampaignResult ROff =
+      runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, Off), Serial);
+  CampaignResult ROn = runCampaign(Prog, Golden, OnPlan, Serial);
+  ASSERT_TRUE(ROff.Error.empty()) << ROff.Error;
+  ASSERT_TRUE(ROn.Error.empty()) << ROn.Error;
+  EXPECT_GT(ROn.SplicedRuns, 0u);
+  expectSameResult(ROff, ROn);
+
+  CampaignExecOptions Stealing;
+  Stealing.Threads = 3;
+  Stealing.ShardSize = 8;
+  CampaignResult Threaded = runCampaign(Prog, Golden, OnPlan, Stealing);
+  ASSERT_TRUE(Threaded.Error.empty()) << Threaded.Error;
+  expectSameResult(ROff, Threaded);
+}
+
+TEST(CheckpointEquivalence, GoldenCheckComparesOnlyLiveRegisters) {
+  // No register is live into the first instruction, so every flip
+  // before it is dead and reconverges at the injection boundary itself.
+  // After it, t0 is live until the add reads it, so a t0 flip there is
+  // still live at the next boundary and must not splice into the golden
+  // (Masked) suffix.
+  static const char *Src = R"(
+main:
+  li  t0, 5
+  li  t1, 7
+  add a0, t0, t1
+  out a0
+  ret
+)";
+  Program Prog = parseAsmOrDie(Src, "live");
+  BECAnalysis A = BECAnalysis::run(Prog);
+  Trace Golden = simulate(Prog);
+  auto campaign = [&](uint64_t MaxCycles, bool Checkpoint) {
+    PlanOptions PO;
+    PO.Kind = PlanKind::Exhaustive;
+    PO.MaxCycles = MaxCycles;
+    PO.PrefixCheckpoint = Checkpoint;
+    PO.CheckpointEveryK = 1;
+    CampaignResult R =
+        runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, PO));
+    EXPECT_TRUE(R.Error.empty()) << R.Error;
+    return R;
+  };
+
+  // Dead flips only: each splices before a single faulty instruction
+  // runs, so the only simulation is the checkpoint table's golden replay.
+  CampaignResult Dead = campaign(1, true);
+  EXPECT_EQ(Dead.Runs, uint64_t(NumRegs) * Prog.Width);
+  EXPECT_EQ(Dead.SplicedRuns, Dead.Runs);
+  EXPECT_EQ(Dead.SimulatedCycles, Golden.Cycles);
+  expectSameResult(campaign(1, false), Dead);
+
+  // Add the flips after the first instruction: the Width live t0 flips
+  // execute, every other one still splices.
+  CampaignResult On = campaign(2, true);
+  CampaignResult Off = campaign(2, false);
+  expectSameResult(Off, On);
+  EXPECT_EQ(On.SplicedRuns, On.Runs - Prog.Width);
+  std::vector<PlannedRun> Runs =
+      planCampaign(A, Golden, PlanKind::Exhaustive, 2);
+  ASSERT_EQ(Runs.size(), On.Effects.size());
+  Reg T0 = *parseRegName("t0");
+  uint64_t LiveFlips = 0;
+  for (size_t I = 0; I < Runs.size(); ++I) {
+    if (Runs[I].AfterCycle != 1 || Runs[I].R != T0)
+      continue;
+    ++LiveFlips;
+    EXPECT_NE(On.Effects[I], FaultEffect::Masked)
+        << "bit " << int(Runs[I].Bit);
+    EXPECT_EQ(On.Effects[I], Off.Effects[I]);
+  }
+  EXPECT_EQ(LiveFlips, Prog.Width);
 }
 
 //===----------------------------------------------------------------------===//
