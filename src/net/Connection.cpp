@@ -2,6 +2,8 @@
 
 #include "net/Connection.h"
 
+#include "serve/Socket.h"
+
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -22,6 +24,7 @@ constexpr size_t CompactAt = 64u * 1024;
 } // namespace
 
 Connection::Connection(int FD, uint64_t Id) : FD(FD), Id(Id) {
+  serve::setNoDelay(FD);
   int Flags = ::fcntl(FD, F_GETFL, 0);
   if (Flags >= 0)
     ::fcntl(FD, F_SETFL, Flags | O_NONBLOCK);

@@ -32,8 +32,8 @@ namespace net {
 
 class Connection {
 public:
-  /// Takes ownership of \p FD (a connected stream socket) and switches it
-  /// to non-blocking mode.
+  /// Takes ownership of \p FD (a connected stream socket), switches it
+  /// to non-blocking mode and disables Nagle (serve::setNoDelay).
   Connection(int FD, uint64_t Id);
   Connection(const Connection &) = delete;
   Connection &operator=(const Connection &) = delete;

@@ -111,15 +111,21 @@ void EventServer::workerMain(unsigned Index) {
                     std::chrono::steady_clock::now() - J.Enqueued)
                     .count();
     WaitUs.observeUs(Wait < 0 ? 0 : uint64_t(Wait));
-    obs::Span S("net.request");
-    S.arg("wait_us", Wait < 0 ? 0 : uint64_t(Wait));
     uint64_t ConnId = J.ConnId;
-    // Establishes the conn id for every log line the handler emits (the
-    // service layer's scope inherits it; see obs/Log.h).
-    obs::LogRequestScope LogScope(ConnId, {}, {});
-    std::string Final = Handler(J.Line, [&](const std::string &Frame) {
-      postCompletion(ConnId, Frame, /*Final=*/false);
-    });
+    std::string Final;
+    {
+      // Both scopes close before the final frame is posted: once it is,
+      // the client may act on its answer, and a trace written then (an
+      // in-process client's --trace-out) must not hold an open span.
+      obs::Span S("net.request");
+      S.arg("wait_us", Wait < 0 ? 0 : uint64_t(Wait));
+      // Establishes the conn id for every log line the handler emits (the
+      // service layer's scope inherits it; see obs/Log.h).
+      obs::LogRequestScope LogScope(ConnId, {}, {});
+      Final = Handler(J.Line, [&](const std::string &Frame) {
+        postCompletion(ConnId, Frame, /*Final=*/false);
+      });
+    }
     postCompletion(ConnId, std::move(Final), /*Final=*/true);
   }
 }

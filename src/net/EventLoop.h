@@ -1,10 +1,9 @@
 //===- net/EventLoop.h - poll()-based event-loop serving core -------------===//
 ///
 /// \file
-/// The event-loop half of the becd serving stack (docs/serve.md has the
-/// architecture picture). EventServer replaces thread-per-connection with
-/// one poll()-driven loop thread multiplexing every connection plus a
-/// bounded worker pool executing requests, so:
+/// The becd serving core (docs/serve.md has the architecture picture).
+/// EventServer runs one poll()-driven loop thread multiplexing every
+/// connection plus a bounded worker pool executing requests, so:
 ///
 ///  * connection count is decoupled from thread count — thousands of
 ///    mostly-idle sockets cost file descriptors, not stacks;
@@ -66,8 +65,7 @@ public:
     std::string Host = "127.0.0.1";
     uint16_t Port = serve::DefaultPort; ///< 0 = ephemeral; see port().
     /// Worker threads executing requests. 0 = one per core (floor 1,
-    /// cap 64). Unlike the legacy thread-per-connection pool this is a
-    /// CPU-sizing knob: workers never block on the network.
+    /// cap 64). A CPU-sizing knob: workers never block on the network.
     unsigned Workers = 0;
     /// Admission control: beyond `Workers` running requests, at most
     /// this many more may wait for a worker; the next request that
@@ -91,8 +89,8 @@ public:
 
   /// Polled on the loop thread after each completed request; returning
   /// true begins the drain. becd wires this to Service::isShuttingDown
-  /// so a `shutdown` request drains the server exactly like the legacy
-  /// path; the gateway wires its own flag.
+  /// so a `shutdown` request drains the server; the gateway wires its
+  /// own flag.
   void setDrainCheck(std::function<bool()> Check) {
     DrainCheck = std::move(Check);
   }

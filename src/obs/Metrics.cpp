@@ -7,7 +7,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 
 using namespace bec;
@@ -71,6 +70,11 @@ namespace {
 /// cap get a dead handle (silently no-op) rather than UB.
 constexpr uint32_t MaxSlots = 4096;
 
+/// Gauge capacity, fixed for the same reason as the shards: writers
+/// index gauges without the registry lock, so registering one must never
+/// move the others. Registrations past the cap get a dead handle.
+constexpr uint32_t MaxGauges = 256;
+
 struct Shard {
   std::array<std::atomic<uint64_t>, MaxSlots> Cells{};
 };
@@ -90,7 +94,8 @@ struct Registry {
   std::array<uint64_t, MaxSlots> Retired{};
   std::vector<Shard *> LiveShards;
   /// Gauges live here, not in shards: a level is global by nature.
-  std::vector<std::unique_ptr<std::atomic<int64_t>>> Gauges;
+  std::array<std::atomic<int64_t>, MaxGauges> Gauges{};
+  uint32_t NumGauges = 0;
   std::atomic<bool> Enabled{true};
 
   Registry() {
@@ -155,8 +160,9 @@ detail::Slot bec::obs::detail::registerMetric(std::string_view Name,
   Meta.Kind = Kind;
   Meta.Cells = Cells;
   if (Kind == MetricKind::Gauge) {
-    Meta.Slot = uint32_t(R.Gauges.size());
-    R.Gauges.push_back(std::make_unique<std::atomic<int64_t>>(0));
+    if (R.NumGauges == MaxGauges)
+      return DeadSlot;
+    Meta.Slot = R.NumGauges++;
   } else {
     if (R.NextSlot + Cells > MaxSlots)
       return DeadSlot;
@@ -181,14 +187,14 @@ void bec::obs::detail::gaugeAdd(Slot S, int64_t Delta) {
   if (S == DeadSlot)
     return;
   Registry &R = registry();
-  R.Gauges[S]->fetch_add(Delta, std::memory_order_relaxed);
+  R.Gauges[S].fetch_add(Delta, std::memory_order_relaxed);
 }
 
 void bec::obs::detail::gaugeSet(Slot S, int64_t V) {
   if (S == DeadSlot)
     return;
   Registry &R = registry();
-  R.Gauges[S]->store(V, std::memory_order_relaxed);
+  R.Gauges[S].store(V, std::memory_order_relaxed);
 }
 
 void bec::obs::detail::histogramObserve(Slot S, uint64_t Us) {
@@ -226,7 +232,7 @@ MetricsSnapshot bec::obs::snapshotMetrics() {
       V.Value = M.Slot == detail::DeadSlot ? 0 : Sum[M.Slot];
       break;
     case MetricKind::Gauge:
-      V.GaugeValue = R.Gauges[M.Slot]->load(std::memory_order_relaxed);
+      V.GaugeValue = R.Gauges[M.Slot].load(std::memory_order_relaxed);
       break;
     case MetricKind::Histogram:
       if (M.Slot != detail::DeadSlot) {
@@ -249,8 +255,8 @@ void bec::obs::resetMetrics() {
   for (Shard *S : R.LiveShards)
     for (uint32_t I = 0; I < MaxSlots; ++I)
       S->Cells[I].store(0, std::memory_order_relaxed);
-  for (auto &G : R.Gauges)
-    G->store(0, std::memory_order_relaxed);
+  for (std::atomic<int64_t> &G : R.Gauges)
+    G.store(0, std::memory_order_relaxed);
 }
 
 bool bec::obs::metricsEnabled() { return detail::enabled(); }

@@ -13,7 +13,8 @@
 ///    thread exit (the exiting thread folds its shard into a retired
 ///    accumulator, so totals stay exact across any thread lifecycle).
 ///  * Gauges are point-in-time values (connection counts, queue depth)
-///    and live in single process-global atomics instead.
+///    and live in a fixed table of process-global atomics instead, so
+///    a registration never moves a gauge another thread is writing.
 ///  * Registration (name -> slot) happens once per call site via
 ///    function-local statics; after that, handles carry raw slot
 ///    indices and never touch the name map again.

@@ -1,4 +1,4 @@
-//===- serve/Service.cpp - The becd request router and TCP server ---------===//
+//===- serve/Service.cpp - The becd request router ------------------------===//
 
 #include "serve/Service.h"
 
@@ -11,12 +11,10 @@
 #include "obs/Trace.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
-#include <chrono>
 #include <exception>
-#include <sys/socket.h>
-#include <thread>
 
 using namespace bec;
 using namespace bec::serve;
@@ -855,177 +853,4 @@ Service::Outcome Service::methodReport(const JsonValue &Params) {
   Outcome O;
   O.ResultJson = commandResult(Json, Output, Diag, Exit, {});
   return O;
-}
-
-//===----------------------------------------------------------------------===//
-// Server
-//===----------------------------------------------------------------------===//
-
-// Connection handlers are I/O-bound (they mostly block in recv), so the
-// pool is NOT clamped to the core count like CPU-bound --jobs pools: an
-// inline pool would wedge the acceptor behind the first open connection.
-// At least two handlers, at most a sane cap.
-static unsigned connectionJobs(unsigned Requested) {
-  if (Requested < 2)
-    return 2;
-  return Requested > 64 ? 64 : Requested;
-}
-
-Server::Server(Service &Svc, Options O)
-    : Svc(Svc), Opts(std::move(O)), Pool(connectionJobs(Opts.Jobs)) {}
-
-bool Server::start(std::string &Err) {
-  return Listener.listenOn(Opts.Host, Opts.Port, Err);
-}
-
-void Server::run() {
-  while (!Stopping.load()) {
-    // accept(2) on a listening socket cannot be woken portably from
-    // another thread; poll in short slices and re-check the stop flag.
-    ListenSocket::WaitStatus WS = Listener.waitReadable(/*TimeoutMs=*/100);
-    if (WS == ListenSocket::WaitStatus::Timeout)
-      continue;
-    if (WS == ListenSocket::WaitStatus::Error)
-      break;
-    std::string Err;
-    std::optional<Socket> Conn = Listener.accept(Err);
-    if (!Conn) {
-      // Transient per-connection failures (ECONNABORTED from a client
-      // resetting mid-handshake, EMFILE under fd pressure) must not take
-      // the daemon down; back off briefly and keep accepting.
-      if (Stopping.load())
-        break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(ConnMutex);
-      if (Stopping.load())
-        break; // Conn closes via its destructor.
-      OpenConns.insert(Conn->fd());
-    }
-    Svc.noteConnection();
-    static const obs::Gauge GaugeOpen("serve.connections.open");
-    static const obs::Gauge GaugeQueued("serve.queue.depth");
-    static const obs::Histogram QueueUs("serve.queue.us");
-    static const obs::Counter RejOverload("serve.rejected.overload");
-    if (Active.load() >= connectionJobs(Opts.Jobs) &&
-        Queued.load() >= Opts.MaxQueued) {
-      // Every handler is busy and the wait line is full: typed
-      // backpressure instead of an unbounded queue (error table in
-      // docs/serve.md).
-      RejOverload.add();
-      rejectOverloaded(std::move(*Conn));
-      continue;
-    }
-    GaugeOpen.add(1);
-    GaugeQueued.add(1);
-    Queued.fetch_add(1);
-    auto Accepted = std::chrono::steady_clock::now();
-    auto Shared = std::make_shared<Socket>(std::move(*Conn));
-    Pool.submit([this, Shared, Accepted] {
-      // Time between accept and a handler picking the connection up: the
-      // queue-wait clients see when all handler slots are busy.
-      auto WaitUs = std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - Accepted)
-                        .count();
-      QueueUs.observeUs(WaitUs < 0 ? 0 : uint64_t(WaitUs));
-      GaugeQueued.add(-1);
-      Queued.fetch_sub(1);
-      Active.fetch_add(1);
-      serveConnection(*Shared);
-      Active.fetch_sub(1);
-      GaugeOpen.add(-1);
-    });
-  }
-  requestStop(); // Idempotent: unblocks any still-draining connections.
-  Pool.wait();
-  Listener.close();
-}
-
-void Server::requestStop() {
-  std::lock_guard<std::mutex> Lock(ConnMutex);
-  Stopping.store(true);
-  // Wake every connection blocked in recv; handlers then drain and
-  // close. Registered fds are guaranteed un-recycled (closeConnection
-  // erases under this lock before closing).
-  for (int FD : OpenConns)
-    ::shutdown(FD, SHUT_RDWR);
-}
-
-void Server::closeConnection(Socket &Conn) {
-  std::lock_guard<std::mutex> Lock(ConnMutex);
-  OpenConns.erase(Conn.fd());
-  Conn.close();
-}
-
-void Server::rejectOverloaded(Socket Conn) {
-  // Runs inline on the acceptor: send the handshake, wait briefly for
-  // the first request (so the client's call() sees a proper error
-  // response with its request id, not a bare close), answer 105 and
-  // close. The short timeout keeps a slow client from wedging accepts.
-  struct timeval Tv;
-  Tv.tv_sec = 2;
-  Tv.tv_usec = 0;
-  ::setsockopt(Conn.fd(), SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-  std::string Err, Line;
-  if (Conn.sendAll(Svc.handshakeFrame(), Err) &&
-      Conn.recvLine(Line, MaxFrameBytes, Err) == Socket::RecvStatus::Line) {
-    ParsedFrame P = parseRequestFrame(Line);
-    std::optional<uint64_t> Id =
-        P.Req ? std::optional<uint64_t>(P.Req->Id) : P.Id;
-    Conn.sendAll(makeErrorFrame(Id, ErrorCode::Overloaded,
-                                "server overloaded; all " +
-                                    std::to_string(connectionJobs(Opts.Jobs)) +
-                                    " handlers busy and queue full"),
-                 Err);
-  }
-  closeConnection(Conn);
-}
-
-void Server::serveConnection(Socket &Conn) {
-  std::string Err;
-  if (!Conn.sendAll(Svc.handshakeFrame(), Err)) {
-    closeConnection(Conn);
-    return;
-  }
-  std::string Line;
-  for (;;) {
-    if (Stopping.load() || Svc.isShuttingDown())
-      break;
-    Socket::RecvStatus St = Conn.recvLine(Line, MaxFrameBytes, Err);
-    if (St == Socket::RecvStatus::TooLong) {
-      Conn.sendAll(makeErrorFrame(std::nullopt, ErrorCode::ParseError,
-                                  "frame exceeds " +
-                                      std::to_string(MaxFrameBytes) +
-                                      " bytes"),
-                   Err);
-      break;
-    }
-    if (St != Socket::RecvStatus::Line)
-      break; // EOF or transport error.
-    // Streaming methods emit progress frames straight onto the wire as
-    // the engine completes shards; the final frame follows them. The
-    // service serializes sink calls, so writes never interleave.
-    static const obs::Histogram WriteUs("serve.write.us");
-    bool SendFailed = false;
-    std::string Response =
-        Svc.handleFrameStreaming(Line, [&](const std::string &Frame) {
-          if (!SendFailed && !Conn.sendAll(Frame, Err))
-            SendFailed = true;
-        });
-    bool Sent;
-    {
-      obs::ScopedTimerUs Timer(WriteUs);
-      Sent = !SendFailed && Conn.sendAll(Response, Err);
-    }
-    if (!Sent)
-      break;
-    if (Svc.isShuttingDown()) {
-      // This connection carried the shutdown request: begin the drain.
-      requestStop();
-      break;
-    }
-  }
-  closeConnection(Conn);
 }

@@ -1,23 +1,16 @@
-//===- serve/Service.h - The becd request router and TCP server -----------===//
+//===- serve/Service.h - The becd request router --------------------------===//
 ///
 /// \file
-/// The becd analysis service in two layers:
-///
-///  * Service — the transport-independent request router. It owns the
-///    server's one shared AnalysisSession (the "session pool"): every
-///    client's programs are interned into the same content-addressed
-///    cache, so two clients analyzing the same program — or the same
-///    client asking twice — hit the same shard, and the warm hits show up
-///    in the `stats` method. handleFrame() maps one request frame to one
-///    response frame and is safe to call from any number of threads; it
-///    is also the in-process "loopback" entry point used by deterministic
-///    tests and by serve::Client::loopback.
-///
-///  * Server — blocking TCP acceptor fanning connections out on the
-///    existing ThreadPool (one task per connection, requests within a
-///    connection served in order). A `shutdown` request drains the server
-///    gracefully: the listener and every idle connection are unblocked,
-///    in-flight requests finish, run() returns.
+/// The becd analysis service: the transport-independent request router.
+/// It owns the server's one shared AnalysisSession (the "session pool"):
+/// every client's programs are interned into the same content-addressed
+/// cache, so two clients analyzing the same program — or the same client
+/// asking twice — hit the same shard, and the warm hits show up in the
+/// `stats` method. handleFrame() maps one request frame to one response
+/// frame and is safe to call from any number of threads; it is also the
+/// in-process "loopback" entry point used by deterministic tests and by
+/// serve::Client::loopback. Over TCP, becd serves it on the net/ event
+/// loop (net/EventLoop.h), with handleFrameStreaming as the handler.
 ///
 /// Method table (params and result shapes in docs/serve.md):
 ///
@@ -53,17 +46,15 @@
 
 #include "api/AnalysisSession.h"
 #include "serve/Protocol.h"
-#include "serve/Socket.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace bec {
 namespace serve {
@@ -174,61 +165,6 @@ private:
   uint64_t Requests = 0;
   uint64_t Errors = 0;
   std::map<std::string, uint64_t> PerMethod;
-};
-
-/// Blocking TCP server around a Service; see the file comment.
-class Server {
-public:
-  struct Options {
-    std::string Host = "127.0.0.1";
-    uint16_t Port = DefaultPort; ///< 0 = ephemeral; see port().
-    /// Concurrent connection handlers (thread-per-connection; floor 2,
-    /// cap 64 — I/O-bound, deliberately not clamped to the core count).
-    /// Further connections queue until a handler frees up.
-    unsigned Jobs = 4;
-    /// Admission control: with every handler busy, at most this many
-    /// accepted connections may wait for one; the next connection gets
-    /// its first request answered with error 105 `overloaded` and is
-    /// closed (typed backpressure instead of an unbounded queue).
-    unsigned MaxQueued = 128;
-  };
-
-  Server(Service &Svc, Options Opts);
-  Server(const Server &) = delete;
-  Server &operator=(const Server &) = delete;
-
-  /// Binds and listens. False with a diagnostic on failure.
-  bool start(std::string &Err);
-
-  /// The bound port (valid after start(); resolves Port=0 requests).
-  uint16_t port() const { return Listener.boundPort(); }
-
-  /// Accept loop; returns after graceful shutdown (a `shutdown` request
-  /// or requestStop()) once every connection has drained.
-  void run();
-
-  /// Thread-safe external stop (tests, signal handlers).
-  void requestStop();
-
-private:
-  void serveConnection(Socket &Conn);
-  /// Deregisters and closes under the registry lock (so requestStop never
-  /// touches a recycled descriptor).
-  void closeConnection(Socket &Conn);
-  /// Saturation path: answers the connection's first request with
-  /// `overloaded` (inline on the acceptor, short read timeout) and
-  /// closes it.
-  void rejectOverloaded(Socket Conn);
-
-  Service &Svc;
-  Options Opts;
-  ListenSocket Listener;
-  ThreadPool Pool;
-  std::atomic<bool> Stopping{false};
-  std::atomic<unsigned> Active{0}; ///< Handlers serving a connection.
-  std::atomic<unsigned> Queued{0}; ///< Accepted, waiting for a handler.
-  std::mutex ConnMutex;
-  std::set<int> OpenConns; ///< Live connection fds, for shutdown wakeup.
 };
 
 } // namespace serve

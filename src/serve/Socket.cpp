@@ -8,7 +8,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,13 +20,12 @@ std::string errnoString(const char *What) {
   return std::string(What) + ": " + std::strerror(errno);
 }
 
-/// Frames are small and latency-bound; never batch them behind Nagle.
-void setNoDelay(int FD) {
+} // namespace
+
+void bec::serve::setNoDelay(int FD) {
   int One = 1;
   ::setsockopt(FD, IPPROTO_TCP, TCP_NODELAY, &One, sizeof One);
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Socket
@@ -54,11 +52,6 @@ void Socket::close() {
     ::close(FD);
     FD = -1;
   }
-}
-
-void Socket::unblock() {
-  if (FD >= 0)
-    ::shutdown(FD, SHUT_RDWR);
 }
 
 bool Socket::sendAll(std::string_view Data, std::string &Err) {
@@ -114,20 +107,6 @@ void ListenSocket::close() {
   }
 }
 
-ListenSocket::WaitStatus ListenSocket::waitReadable(int TimeoutMs) {
-  pollfd PFD{FD, POLLIN, 0};
-  for (;;) {
-    int N = ::poll(&PFD, 1, TimeoutMs);
-    if (N > 0)
-      return (PFD.revents & (POLLERR | POLLNVAL)) ? WaitStatus::Error
-                                                  : WaitStatus::Ready;
-    if (N == 0)
-      return WaitStatus::Timeout;
-    if (errno != EINTR)
-      return WaitStatus::Error;
-  }
-}
-
 bool ListenSocket::listenOn(const std::string &Host, uint16_t RequestedPort,
                             std::string &Err) {
   close();
@@ -164,20 +143,6 @@ bool ListenSocket::listenOn(const std::string &Host, uint16_t RequestedPort,
   }
   Port = ntohs(Addr.sin_port);
   return true;
-}
-
-std::optional<Socket> ListenSocket::accept(std::string &Err) {
-  for (;;) {
-    int C = ::accept(FD, nullptr, nullptr);
-    if (C >= 0) {
-      setNoDelay(C);
-      return Socket(C);
-    }
-    if (errno == EINTR)
-      continue;
-    Err = errnoString("accept");
-    return std::nullopt;
-  }
 }
 
 //===----------------------------------------------------------------------===//

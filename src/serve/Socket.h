@@ -2,15 +2,14 @@
 ///
 /// \file
 /// Thin RAII wrappers over POSIX stream sockets: a connected Socket with
-/// buffered newline-delimited reads (the becd framing unit), a
-/// ListenSocket that can bind ephemeral ports and be woken out of a
-/// blocking accept(), and a name-resolving connectTo(). Blocking I/O
-/// throughout — concurrency is the server's job (one connection per
-/// ThreadPool task), not the transport's. No third-party dependencies.
+/// buffered newline-delimited reads (the becd framing unit, used by
+/// clients and the gateway's upstream links), a ListenSocket that binds
+/// ephemeral ports for the event loop (net/EventLoop.h) to poll and
+/// accept, and a name-resolving connectTo(). Sockets block; the server's
+/// concurrency lives in the event loop, not here. No third-party
+/// dependencies.
 ///
-/// Thread-safety: a Socket is owned by one thread at a time, with one
-/// exception — unblock() may be called from another thread to force a
-/// blocked recv/accept to return (the server's shutdown path).
+/// Thread-safety: a Socket is owned by one thread at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +40,6 @@ public:
   bool valid() const { return FD >= 0; }
   int fd() const { return FD; }
   void close();
-  /// Half-closes both directions without releasing the descriptor: a recv
-  /// blocked on this socket (possibly in another thread) returns EOF.
-  void unblock();
 
   /// Sends all of \p Data (retrying short writes). False on any error.
   bool sendAll(std::string_view Data, std::string &Err);
@@ -79,19 +75,10 @@ public:
   /// The actually bound port (resolves port-0 requests).
   uint16_t boundPort() const { return Port; }
 
-  /// The raw listening descriptor (for event loops that poll and accept
-  /// it themselves; see net/EventLoop.h). -1 when not listening.
+  /// The raw listening descriptor (the event loop polls and accepts it
+  /// itself; see net/EventLoop.h). -1 when not listening.
   int fd() const { return FD; }
 
-  enum class WaitStatus { Ready, Timeout, Error };
-
-  /// Polls for a pending connection for up to \p TimeoutMs. Acceptor
-  /// loops interleave this with a stop-flag check: accept(2) on a
-  /// listening socket cannot be woken portably from another thread.
-  WaitStatus waitReadable(int TimeoutMs);
-
-  /// Blocks for the next connection. nullopt on error.
-  std::optional<Socket> accept(std::string &Err);
   void close();
   bool valid() const { return FD >= 0; }
 
@@ -99,6 +86,12 @@ private:
   int FD = -1;
   uint16_t Port = 0;
 };
+
+/// Disables Nagle's algorithm on the connected TCP socket \p FD. Frames
+/// are small and latency-bound (streamed progress frames most of all);
+/// never batch them behind Nagle. Every connection either end of a becd
+/// link opens or accepts goes through this.
+void setNoDelay(int FD);
 
 /// Resolves \p Host (numeric or named) and connects. nullopt with a
 /// diagnostic on failure.

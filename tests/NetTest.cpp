@@ -9,8 +9,8 @@
 //    every response for the requests it sent, then EOF;
 //  * backpressure: admission control answers error 105 `overloaded` when
 //    the worker queue is full, and error 106 `draining` for requests
-//    caught by a graceful drain — on the legacy thread-per-connection
-//    server too;
+//    caught by a graceful drain;
+//  * latency: every accepted connection has Nagle disabled;
 //  * equivalence: responses through the event-loop server are
 //    byte-identical to the loopback Service;
 //  * gateway: the consistent-hash ring is deterministic and mostly
@@ -36,6 +36,8 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <set>
 #include <sstream>
 #include <sys/socket.h>
@@ -160,6 +162,25 @@ TEST(EventLoop, ReassemblesFramesSplitAcrossReads) {
   serve::Response R = recvResponse(S);
   EXPECT_FALSE(R.IsError);
   EXPECT_EQ(R.Id, 3u);
+}
+
+TEST(EventLoop, AcceptedConnectionsDisableNagle) {
+  // Streamed progress frames are small back-to-back writes: exactly what
+  // Nagle's algorithm would hold back behind an unacknowledged segment.
+  serve::ListenSocket L;
+  std::string Err;
+  ASSERT_TRUE(L.listenOn("127.0.0.1", 0, Err)) << Err;
+  std::optional<serve::Socket> Client =
+      serve::connectTo("127.0.0.1", L.boundPort(), Err);
+  ASSERT_TRUE(Client.has_value()) << Err;
+  int FD = ::accept(L.fd(), nullptr, nullptr);
+  ASSERT_GE(FD, 0);
+  Connection C(FD, 1);
+  int NoDelay = 0;
+  socklen_t Len = sizeof NoDelay;
+  ASSERT_EQ(::getsockopt(C.fd(), IPPROTO_TCP, TCP_NODELAY, &NoDelay, &Len),
+            0);
+  EXPECT_EQ(NoDelay, 1);
 }
 
 TEST(EventLoop, PipelinedRequestsAnswerInOrder) {
@@ -346,47 +367,6 @@ TEST(EventLoop, ShutdownMethodDrainsTheServer) {
   EXPECT_EQ(S.recvLine(Line, serve::MaxFrameBytes, Err),
             serve::Socket::RecvStatus::Eof);
   F.Runner.join(); // run() must return on its own.
-}
-
-TEST(LegacyServer, SaturatedPoolAnswersError105) {
-  serve::Service Svc;
-  serve::Server::Options O;
-  O.Port = 0;
-  O.Jobs = 2; // connectionJobs floor is 2: two handlers.
-  O.MaxQueued = 0;
-  serve::Server Srv(Svc, O);
-  std::string Err;
-  ASSERT_TRUE(Srv.start(Err)) << Err;
-  std::thread Runner([&] { Srv.run(); });
-
-  auto RawConnect = [&] {
-    std::optional<serve::Socket> S =
-        serve::connectTo("127.0.0.1", Srv.port(), Err);
-    EXPECT_TRUE(S.has_value()) << Err;
-    std::string Line;
-    EXPECT_EQ(S->recvLine(Line, serve::MaxFrameBytes, Err),
-              serve::Socket::RecvStatus::Line);
-    return std::move(*S);
-  };
-  {
-    // Two idle connections occupy both handlers...
-    serve::Socket C1 = RawConnect();
-    serve::Socket C2 = RawConnect();
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    // ...so the third is answered `overloaded` and closed instead of
-    // waiting forever.
-    serve::Socket C3 = RawConnect();
-    ASSERT_TRUE(C3.sendAll(serve::makeRequestFrame(7, "version", ""), Err));
-    serve::Response R = recvResponse(C3);
-    EXPECT_TRUE(R.IsError);
-    EXPECT_EQ(R.Code, ErrorCode::Overloaded);
-    EXPECT_EQ(R.Id, 7u);
-    std::string Line;
-    EXPECT_EQ(C3.recvLine(Line, serve::MaxFrameBytes, Err),
-              serve::Socket::RecvStatus::Eof);
-  }
-  Srv.requestStop();
-  Runner.join();
 }
 
 //===----------------------------------------------------------------------===//

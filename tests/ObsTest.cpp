@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -115,6 +116,33 @@ TEST(Metrics, TotalsAreExactAcrossThreads) {
   for (uint64_t B : Hist.Buckets)
     BucketSum += B;
   EXPECT_EQ(BucketSum, Hist.Count);
+}
+
+// Gauge writers index the registry without its lock, so registering a
+// gauge must never move the existing ones (the event loop sets its
+// gauges while request handlers register theirs on first use). Under
+// ThreadSanitizer this is the no-data-races proof for gauges.
+TEST(Metrics, GaugeWritesDoNotRaceWithRegistration) {
+  obs::resetMetrics();
+  static const obs::Gauge G("obstest.race.gauge");
+  std::atomic<bool> Started{false}, Done{false};
+  std::thread Writer([&] {
+    Started.store(true);
+    for (int64_t I = 0; !Done.load(); ++I)
+      G.set(I);
+  });
+  while (!Started.load())
+    std::this_thread::yield();
+  for (int I = 0; I < 32; ++I) {
+    obs::Gauge Extra("obstest.race.gauge." + std::to_string(I));
+    Extra.add(1);
+  }
+  Done.store(true);
+  Writer.join();
+  G.set(7);
+  obs::MetricsSnapshot S = obs::snapshotMetrics();
+  EXPECT_EQ(S.find("obstest.race.gauge")->GaugeValue, 7);
+  EXPECT_EQ(S.find("obstest.race.gauge.31")->GaugeValue, 1);
 }
 
 TEST(Metrics, HistogramGeometryAndQuantiles) {

@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Api.h"
+#include "net/EventLoop.h"
 #include "obs/Log.h"
 #include "obs/SpanRing.h"
 #include "serve/Client.h"
@@ -70,19 +71,26 @@ std::string maskSeconds(std::string S) {
   return S;
 }
 
-/// A live TCP server on an ephemeral port, torn down on scope exit.
+/// A live becd on an ephemeral port, torn down on scope exit: the
+/// event-loop server wired exactly as `bec serve` wires it.
 struct ServerFixture {
   Service Svc;
-  Server Srv;
+  net::EventServer Srv;
   std::thread Runner;
 
-  explicit ServerFixture(unsigned Jobs = 4)
-      : Srv(Svc, [&] {
-          Server::Options O;
-          O.Port = 0;
-          O.Jobs = Jobs;
-          return O;
-        }()) {
+  explicit ServerFixture(unsigned Workers = 4)
+      : Srv(
+            [this](std::string_view Line, const net::FrameSink &Sink) {
+              return Svc.handleFrameStreaming(Line, Sink);
+            },
+            Svc.handshakeFrame(), [&] {
+              net::EventServer::Options O;
+              O.Port = 0;
+              O.Workers = Workers;
+              return O;
+            }()) {
+    Srv.setDrainCheck([this] { return Svc.isShuttingDown(); });
+    Srv.setAcceptCallback([this] { Svc.noteConnection(); });
     std::string Err;
     if (!Srv.start(Err))
       ADD_FAILURE() << "server start failed: " << Err;
@@ -746,7 +754,7 @@ TEST(SocketServer, ConcurrentClientsAreBitIdenticalToSerial) {
     Expected[W] = *R.Result.memberString("output");
   }
 
-  ServerFixture F(/*Jobs=*/4);
+  ServerFixture F(/*Workers=*/4);
   constexpr int NumClients = 4, Rounds = 3;
   std::atomic<int> Failures{0};
   std::vector<std::thread> Threads;

@@ -75,11 +75,10 @@ Subcommands:
              1-minimal reproducers. Takes no targets; local only.
              Exits 3 on any mismatch.
   serve      Run the becd analysis server: a shared, cached session pool
-             behind a newline-delimited JSON-RPC protocol over TCP.
-             Default engine: a poll() event loop with a bounded worker
-             pool (connections decoupled from threads, pipelining, typed
-             overload errors); --engine threads keeps the legacy
-             thread-per-connection server.
+             behind a newline-delimited JSON-RPC protocol over TCP,
+             served by a poll() event loop with a bounded worker pool
+             (connections decoupled from threads, pipelining, typed
+             overload errors).
   gateway    Front N becd backends behind one becd-indistinguishable
              endpoint: requests route by consistent hashing of their
              program name, so each backend's session cache holds a
@@ -197,11 +196,9 @@ Options:
                     (default 4690).
   --port-file FILE  serve/gateway: write the bound port to FILE once
                     listening (for scripts using --port 0).
-  --engine KIND     serve: loop (poll() event loop + worker pool, the
-                    default) | threads (legacy thread-per-connection).
-  --queue-depth N   serve --engine loop: admitted requests that may wait
-                    for a worker before the next is answered with error
-                    105 `overloaded` (default 256).
+  --queue-depth N   serve: admitted requests that may wait for a worker
+                    before the next is answered with error 105
+                    `overloaded` (default 256).
   --backends LIST   gateway only (required): comma-separated becd
                     backends, host:port each.
   --health-interval SEC
@@ -223,7 +220,6 @@ Exit codes: 0 success, 1 usage error, 2 bad input, 3 unsound validation.
 
 enum class Command { Analyze, Campaign, Schedule, Harden, Report, Fuzz,
                      Serve, Gateway, Client, Stats };
-enum class ServeEngine { Loop, Threads };
 enum class OutputFormat { Text, Json };
 
 struct DriverOptions {
@@ -265,15 +261,14 @@ struct DriverOptions {
   std::string RemoteHost = "127.0.0.1";
   uint16_t RemotePort = serve::DefaultPort;
   /// serve/gateway options (--host/--port/--port-file are shared; the
-  /// engine and queue knobs are serve-only, the backend list and health
-  /// cadence gateway-only).
+  /// queue depth is serve-only, the backend list and health cadence
+  /// gateway-only).
   std::string ServeHost = "127.0.0.1";
   uint16_t ServePort = serve::DefaultPort;
   std::string PortFile;
   bool ServeFlagsUsed = false;
-  ServeEngine Engine = ServeEngine::Loop;
   size_t QueueDepth = 256;
-  bool EngineFlagsUsed = false;
+  bool QueueDepthExplicit = false;
   std::vector<std::string> GatewayBackends;
   unsigned HealthIntervalMs = 2000;
   bool GatewayFlagsUsed = false;
@@ -663,20 +658,6 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
         return ExitUsage;
       Opts.PortFile = *V;
       Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--engine") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "loop")
-        Opts.Engine = ServeEngine::Loop;
-      else if (K == "threads")
-        Opts.Engine = ServeEngine::Threads;
-      else {
-        Err << "bec: unknown --engine '" << *V << "' (want loop | threads)\n";
-        return ExitUsage;
-      }
-      Opts.EngineFlagsUsed = true;
     } else if (Arg == "--queue-depth") {
       auto V = Value(Arg);
       if (!V)
@@ -688,7 +669,7 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
         return ExitUsage;
       }
       Opts.QueueDepth = static_cast<size_t>(*N);
-      Opts.EngineFlagsUsed = true;
+      Opts.QueueDepthExplicit = true;
     } else if (Arg == "--backends") {
       auto V = Value(Arg);
       if (!V)
@@ -874,8 +855,8 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
            "gateway (clients use --remote host:port)\n";
     return ExitUsage;
   }
-  if (Opts.Cmd != Command::Serve && Opts.EngineFlagsUsed) {
-    Err << "bec: --engine/--queue-depth are only valid with serve\n";
+  if (Opts.Cmd != Command::Serve && Opts.QueueDepthExplicit) {
+    Err << "bec: --queue-depth is only valid with serve\n";
     return ExitUsage;
   }
   if (Opts.Cmd != Command::Gateway && Opts.GatewayFlagsUsed) {
@@ -1675,44 +1656,18 @@ int applyDaemonObsOptions(const DriverOptions &Opts, const char *Process,
   return ExitSuccess;
 }
 
-/// `bec serve`: run the becd server until a shutdown request. The
-/// default engine is the net/ event loop; --engine threads keeps the
-/// legacy thread-per-connection server. Both print the same listening
-/// line and answer byte-identically.
+/// `bec serve`: run the becd server on the net/ event loop until a
+/// shutdown request.
 int runServe(const DriverOptions &Opts, std::ostream &Out,
              std::ostream &Err) {
   if (int Status = applyDaemonObsOptions(Opts, "becd", Err))
     return Status;
   serve::Service Svc;
-  if (Opts.Engine == ServeEngine::Threads) {
-    serve::Server::Options SO;
-    SO.Host = Opts.ServeHost;
-    SO.Port = Opts.ServePort;
-    // For a server, --jobs bounds concurrent connections; default to a
-    // small pool rather than the CLI's serial default.
-    SO.Jobs = Opts.JobsExplicit ? Opts.Jobs : 4;
-    serve::Server Srv(Svc, SO);
-    std::string BindErr;
-    if (!Srv.start(BindErr)) {
-      Err << "bec: serve: " << BindErr << "\n";
-      return ExitBadInput;
-    }
-    Out << "becd listening on " << SO.Host << ":" << Srv.port() << " (api "
-        << BEC_API_VERSION_STRING << ", protocol " << serve::ProtocolVersion
-        << ")\n";
-    Out.flush();
-    if (int Status = writePortFile(Opts.PortFile, Srv.port(), Err))
-      return Status;
-    Srv.run();
-    Out << "becd: shut down\n";
-    return ExitSuccess;
-  }
-
   net::EventServer::Options EO;
   EO.Host = Opts.ServeHost;
   EO.Port = Opts.ServePort;
   // --jobs sizes the worker pool executing requests (0 = one per core);
-  // connections are no longer bounded by it.
+  // it does not bound connections.
   EO.Workers = Opts.JobsExplicit ? Opts.Jobs : 0;
   EO.QueueDepth = Opts.QueueDepth;
   net::EventServer Srv(
