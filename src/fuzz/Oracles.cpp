@@ -11,6 +11,7 @@
 #include "ir/AsmParser.h"
 #include "obs/Trace.h"
 #include "sim/Interpreter.h"
+#include "support/Xoshiro.h"
 
 #include <map>
 
@@ -112,6 +113,27 @@ OracleReport bec::fuzz::runOracles(const Program &Prog,
     mismatch(Report.Mismatches, "golden",
              std::string("golden run ended in ") + outcomeName(Golden.End));
     return Report;
+  }
+  // Both run-loop instances must trace alike: rerun hash-only, stopped
+  // and resumed at chunk sizes seeded by the golden hash (a pure function
+  // of the program), and compare with the recorded run.
+  {
+    obs::Span Span("fuzz.oracle.golden-chunked");
+    RunOptions HashOnly;
+    HashOnly.Record = false;
+    Interpreter I(Prog, HashOnly);
+    Xoshiro256 Rng(Golden.TraceHash);
+    while (!I.done())
+      I.runToCycle(I.cycle() + static_cast<uint64_t>(Rng.range(1, 64)));
+    Trace Chunked = I.takeTrace();
+    if (Chunked.TraceHash != Golden.TraceHash ||
+        Chunked.ObservableHash != Golden.ObservableHash ||
+        Chunked.Cycles != Golden.Cycles || Chunked.End != Golden.End)
+      mismatch(Report.Mismatches, "golden",
+               "chunked hash-only rerun differs from the recorded run (" +
+                   std::to_string(Chunked.Cycles) + " vs " +
+                   std::to_string(Golden.Cycles) + " cycles, ended in " +
+                   outcomeName(Chunked.End) + ")");
   }
 
   uint64_t Limit = O.MaxCycles ? std::min<uint64_t>(O.MaxCycles, Golden.Cycles)

@@ -60,11 +60,12 @@ std::vector<std::string> bec::verifyProgram(const Program &Prog) {
     // the RV32I 12-bit limits are deliberately not enforced.
     if (opcodeFormat(I.Op) == OpFormat::RegImm ||
         opcodeFormat(I.Op) == OpFormat::RegRegImm) {
-      int64_t Lo = -static_cast<int64_t>(signedMinValue(Prog.Width));
-      int64_t Hi = static_cast<int64_t>(allOnesValue(Prog.Width));
-      if (Prog.Width == 64) {
-        Lo = INT64_MIN;
-        Hi = INT64_MAX;
+      // At width 64 every int64_t fits (and negating 2^63 would overflow).
+      int64_t Lo = INT64_MIN;
+      int64_t Hi = INT64_MAX;
+      if (Prog.Width < 64) {
+        Lo = -static_cast<int64_t>(signedMinValue(Prog.Width));
+        Hi = static_cast<int64_t>(allOnesValue(Prog.Width));
       }
       if (I.Imm < Lo || I.Imm > Hi)
         Error(P, "immediate does not fit in the register width");

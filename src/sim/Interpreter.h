@@ -16,6 +16,7 @@
 #include "sim/Trace.h"
 
 #include <limits>
+#include <memory>
 #include <optional>
 
 namespace bec {
@@ -58,7 +59,9 @@ struct MachineState {
   bool HasReturnValue = false;
 
   /// Byte-exact binary encoding (little-endian), and its inverse.
-  /// deserialize returns nullopt on a malformed or truncated buffer.
+  /// deserialize returns nullopt on a malformed or truncated buffer, and
+  /// on a register file no run can reach (non-zero x0, or a value wider
+  /// than the machine).
   std::vector<uint8_t> serialize() const;
   static std::optional<MachineState> deserialize(const uint8_t *Data,
                                                  size_t Size);
@@ -76,20 +79,16 @@ struct MachineState {
   bool operator!=(const MachineState &O) const { return !(*this == O); }
 };
 
-/// Stepping interpreter over one program.
+/// Interpreter over one program. Copying one (the campaign engine's fork)
+/// copies the machine and cursors and shares the predecoded program.
 class Interpreter {
 public:
   Interpreter(const Program &Prog, RunOptions Opts = {});
 
-  /// Executes one instruction. Returns false once the run has ended
-  /// (finished, trapped, or exhausted the budget).
-  bool step();
-
   /// Runs until \p Cycle instructions have executed or the program ends.
-  void runToCycle(uint64_t Cycle) {
-    while (!Done && Cycle > CycleCount)
-      step();
-  }
+  /// A run that has executed MaxCycles instructions ends as a Hang only
+  /// when asked to go further: runToCycle(MaxCycles) leaves it live.
+  void runToCycle(uint64_t Cycle);
   /// Runs to completion.
   void run() { runToCycle(std::numeric_limits<uint64_t>::max()); }
 
@@ -121,9 +120,18 @@ public:
   Trace takeTrace();
 
 private:
+  /// One predecoded instruction (defined in Interpreter.cpp).
+  struct DecodedOp;
+  static std::shared_ptr<const std::vector<DecodedOp>>
+  decode(const Program &Prog);
+
+  /// The run loop: one instance records Executed/Events, the other only
+  /// hashes. Both absorb the same values in the same order.
+  template <bool Record> void runLoop(uint64_t Cycle);
   void finish(Outcome End);
 
-  const Program *Prog;
+  /// The program, predecoded once at construction; copies share it.
+  std::shared_ptr<const std::vector<DecodedOp>> Ops;
   RunOptions Opts;
   Machine M;
   uint32_t PC;

@@ -34,10 +34,6 @@ public:
   }
 
   uint64_t reg(Reg R) const { return R == RegZero ? 0 : Regs[R]; }
-  void setReg(Reg R, uint64_t Value) {
-    if (R != RegZero)
-      Regs[R] = Value & Mask;
-  }
 
   /// Injects a single-event upset: flips bit \p Bit of register \p R.
   /// Flips on x0 are architecturally impossible and are ignored, matching
@@ -47,21 +43,7 @@ public:
       Regs[R] = flipBit(Regs[R], Bit, Width);
   }
 
-  /// Memory accessors; bounds/alignment are checked by the interpreter.
-  uint64_t loadUnsigned(uint64_t Addr, unsigned Bytes) const {
-    uint64_t Value = 0;
-    for (unsigned I = 0; I < Bytes; ++I)
-      Value |= uint64_t(Mem[Addr + I]) << (8 * I);
-    return Value;
-  }
-  void store(uint64_t Addr, uint64_t Value, unsigned Bytes) {
-    for (unsigned I = 0; I < Bytes; ++I)
-      Mem[Addr + I] = static_cast<uint8_t>(Value >> (8 * I));
-  }
-
-  uint64_t memSize() const { return Mem.size(); }
   unsigned width() const { return Width; }
-  uint64_t mask() const { return Mask; }
 
   /// Raw state views, for checkpoint serialization and state comparison.
   const std::array<uint64_t, NumRegs> &regs() const { return Regs; }
@@ -83,6 +65,12 @@ public:
   bool operator!=(const Machine &O) const { return !(*this == O); }
 
 private:
+  /// The run loop reads and writes Regs and Mem directly. It relies on
+  /// two invariants: x0 holds 0, and every register value fits in Mask.
+  /// reset and flipRegBit keep them; MachineState::deserialize checks
+  /// them before restoreParts.
+  friend class Interpreter;
+
   unsigned Width = 32;
   uint64_t Mask = 0xffffffff;
   std::array<uint64_t, NumRegs> Regs{};

@@ -175,6 +175,17 @@ TEST(MachineStateSerde, RoundTripIsExactAndMalformedBuffersAreRejected) {
   std::vector<uint8_t> Bad = Bytes;
   Bad[0] ^= 0xff;
   EXPECT_FALSE(MachineState::deserialize(Bad.data(), Bad.size()).has_value());
+
+  // Register files no run can reach are rejected: a non-zero x0, and a
+  // value above the 32-bit machine's width mask (bit 32 of x5). The
+  // register file starts after the eight fixed 8-byte header words.
+  constexpr size_t RegsAt = 64;
+  Bad = Bytes;
+  Bad[RegsAt] = 1;
+  EXPECT_FALSE(MachineState::deserialize(Bad.data(), Bad.size()).has_value());
+  Bad = Bytes;
+  Bad[RegsAt + 8 * 5 + 4] |= 1;
+  EXPECT_FALSE(MachineState::deserialize(Bad.data(), Bad.size()).has_value());
 }
 
 //===----------------------------------------------------------------------===//
