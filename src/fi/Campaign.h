@@ -177,6 +177,10 @@ struct CampaignResult {
   uint64_t CheckpointBytes = 0;
   uint64_t CheckpointRestores = 0;
   uint64_t SplicedRuns = 0;
+  /// The part of SplicedRuns settled at the injection point itself: the
+  /// flipped register was dead there, so the run took the golden suffix
+  /// without a fork or a simulated cycle.
+  uint64_t InjectionSplices = 0;
   /// Total interpreter instructions stepped by this invocation (golden
   /// checkpoint pass + walker advances + injected forks): the
   /// deterministic work metric behind the prefix-checkpoint speedup

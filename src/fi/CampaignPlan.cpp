@@ -171,9 +171,11 @@ CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
     for (uint32_t PC = 0; PC < A.program().size(); ++PC)
       P.LiveIn[PC] = L.liveInMask(PC);
   }
-  P.Fingerprint =
-      fingerprintPlan(P.Opts, P.Population, P.CheckpointPeriod, P.Runs);
   return P;
+}
+
+uint64_t CampaignPlan::fingerprint() const {
+  return fingerprintPlan(Opts, Population, CheckpointPeriod, Runs);
 }
 
 RateInterval bec::wilsonInterval(uint64_t Successes, uint64_t Trials) {

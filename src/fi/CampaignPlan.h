@@ -73,8 +73,9 @@ public:
 
   /// Content hash of the options and the complete run list (plus the
   /// resolved checkpoint placement). Checkpoints record it; resuming
-  /// under a different plan is rejected.
-  uint64_t fingerprint() const { return Fingerprint; }
+  /// under a different plan is rejected. Computed on each call: it hashes
+  /// every run, and only checkpointed campaigns need it.
+  uint64_t fingerprint() const;
 
   /// True when the engine should execute this plan with prefix
   /// checkpoints (PlanOptions::PrefixCheckpoint and a non-empty trace).
@@ -96,7 +97,6 @@ public:
 private:
   PlanOptions Opts;
   uint64_t Population = 0;
-  uint64_t Fingerprint = 0;
   uint64_t CheckpointPeriod = 0;
   std::vector<uint64_t> CheckpointCycles;
   std::vector<uint32_t> LiveIn;

@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 
@@ -34,6 +35,11 @@ FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
   if (S.ObsHash == Golden.ObservableHash)
     return FaultEffect::Benign;
   return FaultEffect::SDC;
+}
+
+/// The engine's execution order: by injection cycle.
+bool injectedEarlier(const PlannedRun &X, const PlannedRun &Y) {
+  return X.AfterCycle < Y.AfterCycle;
 }
 
 /// Work-stealing shard scheduler: one deque per worker, seeded with a
@@ -86,16 +92,16 @@ private:
 struct EngineState {
   const Program *Prog;
   const Trace *Golden;
+  /// The runs in nondecreasing injection-cycle order (CampaignPlan's
+  /// guarantee; the raw runCampaign overload sorts its own copy), so
+  /// shard S covers runs [S*ShardSize, ...) and executes them in order.
   const std::vector<PlannedRun> *Runs;
-  /// Plan indices in execution order (stable-sorted by injection cycle);
-  /// shard S covers Order[S*ShardSize, ...).
-  std::vector<uint32_t> Order;
   uint64_t ShardSize = 0;
   uint64_t NumShards = 0;
   RunOptions RunOpts;
 
-  /// Per-run result slots, addressed by *plan* index (not execution
-  /// order), so the assembled result is independent of scheduling.
+  /// Per-run result slots, addressed by plan index, so the assembled
+  /// result is independent of scheduling.
   std::vector<FaultEffect> Effects;
   std::vector<uint64_t> Hashes;
   std::vector<uint64_t> Bytes;
@@ -136,6 +142,17 @@ struct EngineState {
     return true;
   }
 
+  /// Whether \p Run's flip is dead on arrival: the walker \p W is the
+  /// golden run paused at the injection cycle, so the faulty state would
+  /// be W's with one bit of Run.R flipped, and reconverged() at that very
+  /// cycle reduces to Run.R being x0 or not live into W's PC. The run
+  /// then settles to the golden suffix without a fork. Only with prefix
+  /// checkpoints: with them off, every run replays in full.
+  bool deadAtInjection(const Interpreter &W, const PlannedRun &Run) const {
+    return PrefixCk && !W.done() && W.cycle() == Run.AfterCycle &&
+           !((liveKeyMask(W.pc(), LiveIn) >> Run.R) & 1);
+  }
+
   /// Index of the first checkpoint with cycle >= \p Cycle (a checkpoint
   /// exactly at the injection cycle is a valid convergence point: the
   /// flip just happened, zero faulty instructions ran).
@@ -167,6 +184,7 @@ struct EngineState {
   std::atomic<uint64_t> SnapshotRebuilds{0};
   std::atomic<uint64_t> CkRestores{0};
   std::atomic<uint64_t> SplicedRuns{0};
+  std::atomic<uint64_t> InjectionSplices{0};
   std::atomic<uint64_t> SimCycles{0};
   /// Sums over the workers' suffix memos, taken as each worker exits.
   std::atomic<uint64_t> MemoEntries{0};
@@ -194,7 +212,7 @@ struct EngineState {
 
   std::pair<uint64_t, uint64_t> shardRange(uint64_t Shard) const {
     uint64_t Lo = Shard * ShardSize;
-    return {Lo, std::min<uint64_t>(Order.size(), Lo + ShardSize)};
+    return {Lo, std::min<uint64_t>(Runs->size(), Lo + ShardSize)};
   }
 };
 
@@ -207,6 +225,8 @@ struct WorkerStats {
   uint64_t Rebuilds = 0;
   uint64_t Restores = 0;      ///< Walker restores from a golden checkpoint.
   uint64_t GoldenSplices = 0; ///< Runs spliced into the golden suffix.
+  /// The part of GoldenSplices settled at injection (dead flips).
+  uint64_t InjectionSplices = 0;
   uint64_t MemoSplices = 0;   ///< Runs spliced from this worker's memo.
   uint64_t SimCycles = 0;     ///< Interpreter instructions stepped.
   uint64_t SchedUs = 0;       ///< In Sched.next: lock wait + victim scan.
@@ -231,8 +251,10 @@ constexpr size_t MemoWindow = 16;
 
 /// A worker's interpreters, key buffer and suffix memo, kept across its
 /// shards: the walker advancing along the golden run, the fork buffer
-/// each injected run is copied into, the keys a run passes before it
-/// completes, and the continuations this worker's runs have settled.
+/// each injected run is synced into (syncFrom copies only the memory
+/// lines either side wrote since the last fork), the keys a run passes
+/// before it completes, and the continuations this worker's runs have
+/// settled.
 /// Memo verdicts are pure functions of their keys, so which worker
 /// settled a key cannot change a result; a private memo needs no lock.
 struct WorkerBuffers {
@@ -256,7 +278,7 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
   std::optional<Interpreter> &Walker = Buf.Walker;
 
   auto [Lo, Hi] = St.shardRange(Shard);
-  uint64_t FirstCycle = (*St.Runs)[St.Order[Lo]].AfterCycle;
+  uint64_t FirstCycle = (*St.Runs)[Lo].AfterCycle;
   obs::Span SpanShard("fi.shard", {{"shard", Shard},
                                    {"runs", Hi - Lo},
                                    {"stolen", uint64_t(Stolen)}});
@@ -294,64 +316,71 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
   uint64_t WalkerFrom = Walker->cycle();
   std::vector<SuffixKey> &Visited = Buf.Visited;
   for (uint64_t K = Lo; K < Hi; ++K) {
-    uint32_t Idx = St.Order[K];
-    const PlannedRun &Run = (*St.Runs)[Idx];
+    const PlannedRun &Run = (*St.Runs)[K];
     Walker->runToCycle(Run.AfterCycle);
-    // Fork into the worker's reused buffer: copy-assignment keeps the
-    // memory image's allocation, so a fork is a copy, not a heap churn.
-    if (Buf.Fork)
-      *Buf.Fork = *Walker;
-    else
-      Buf.Fork.emplace(*Walker);
-    Interpreter &Forked = *Buf.Fork;
-    Forked.machine().flipRegBit(Run.R, Run.Bit);
-    // Convergence splicing: pause the faulty run at each checkpoint
-    // cycle. A run that has reconverged with the golden checkpoint there
-    // settles to the golden suffix. Within the memo window it is also
-    // keyed (suffixStateKey); a hit in this worker's memo — an earlier
-    // run of the same dynamic fault class — settles it too. Either way
-    // the suffix is not executed. Every key the run passed on the way
-    // leads to the same end, so the memo learns them all, spliced or not.
-    std::optional<SettledSuffix> Hit;
-    Visited.clear();
-    size_t First = St.firstCheckpointAtOrAfter(Run.AfterCycle);
-    for (size_t Ck = First; Ck < St.Ckpts.size(); ++Ck) {
-      Forked.runToCycle(St.Ckpts[Ck].CycleCount);
-      if (Forked.done())
-        break;
-      if (St.reconverged(Forked, St.Ckpts[Ck])) {
-        Hit = St.GoldenSuffix;
-        ++WS.GoldenSplices;
-        break;
-      }
-      if (Ck - First >= MemoWindow)
-        continue;
-      SuffixKey Key = suffixStateKey(Forked.cycle(), Forked.pc(),
-                                     Forked.fullHashState(),
-                                     Forked.obsHashState(),
-                                     Forked.machine(), St.LiveIn);
-      Hit = Buf.Memo.find(Key);
-      if (Hit) {
-        ++WS.MemoSplices;
-        break;
-      }
-      Visited.push_back(Key);
-    }
-    // A settled continuation reproduces this run's trace byte for byte,
-    // so the slots take exactly what a full replay would have produced:
-    // its final hash and its (recording-off) archive size.
     SettledSuffix End;
-    if (Hit) {
-      End = *Hit;
+    if (St.deadAtInjection(*Walker, Run)) {
+      End = St.GoldenSuffix;
+      ++WS.GoldenSplices;
+      ++WS.InjectionSplices;
     } else {
-      Forked.run();
-      End = SettledSuffix::of(Forked.takeTrace());
+      // Fork into the worker's reused buffer: a sync copies the registers,
+      // cursors and only the memory lines the walker or the last faulty
+      // run wrote, and keeps the memory image's allocation.
+      if (Buf.Fork)
+        Buf.Fork->syncFrom(*Walker);
+      else
+        Buf.Fork.emplace(*Walker);
+      Interpreter &Forked = *Buf.Fork;
+      Forked.machine().flipRegBit(Run.R, Run.Bit);
+      // Convergence splicing: pause the faulty run at each checkpoint
+      // cycle. A run that has reconverged with the golden checkpoint
+      // there settles to the golden suffix. Within the memo window it is
+      // also keyed (suffixStateKey); a hit in this worker's memo — an
+      // earlier run of the same dynamic fault class — settles it too.
+      // Either way the suffix is not executed. Every key the run passed
+      // on the way leads to the same end, so the memo learns them all,
+      // spliced or not.
+      std::optional<SettledSuffix> Hit;
+      Visited.clear();
+      size_t First = St.firstCheckpointAtOrAfter(Run.AfterCycle);
+      for (size_t Ck = First; Ck < St.Ckpts.size(); ++Ck) {
+        Forked.runToCycle(St.Ckpts[Ck].CycleCount);
+        if (Forked.done())
+          break;
+        if (St.reconverged(Forked, St.Ckpts[Ck])) {
+          Hit = St.GoldenSuffix;
+          ++WS.GoldenSplices;
+          break;
+        }
+        if (Ck - First >= MemoWindow)
+          continue;
+        SuffixKey Key = suffixStateKey(Forked.cycle(), Forked.pc(),
+                                       Forked.fullHashState(),
+                                       Forked.obsHashState(),
+                                       Forked.machine(), St.LiveIn);
+        Hit = Buf.Memo.find(Key);
+        if (Hit) {
+          ++WS.MemoSplices;
+          break;
+        }
+        Visited.push_back(Key);
+      }
+      // A settled continuation reproduces this run's trace byte for
+      // byte, so the slots take exactly what a full replay would have
+      // produced: its final hash and its (recording-off) archive size.
+      if (Hit) {
+        End = *Hit;
+      } else {
+        Forked.run();
+        End = SettledSuffix::of(Forked.takeTrace());
+      }
+      Buf.Memo.insert(Visited, End);
+      ShardSimCycles += Forked.cycle() - Run.AfterCycle;
     }
-    Buf.Memo.insert(Visited, End);
-    St.Effects[Idx] = classifySuffix(End, *St.Golden);
-    St.Hashes[Idx] = End.TraceHash;
-    St.Bytes[Idx] = End.Bytes;
-    ShardSimCycles += Forked.cycle() - Run.AfterCycle;
+    St.Effects[K] = classifySuffix(End, *St.Golden);
+    St.Hashes[K] = End.TraceHash;
+    St.Bytes[K] = End.Bytes;
   }
   ShardSimCycles += Walker->cycle() - WalkerFrom;
   WS.SimCycles += ShardSimCycles;
@@ -360,12 +389,9 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
   if (St.Writer.isOpen()) {
     ShardRecord Rec;
     Rec.Shard = Shard;
-    for (uint64_t K = Lo; K < Hi; ++K) {
-      uint32_t Idx = St.Order[K];
-      Rec.Effects.push_back(St.Effects[Idx]);
-      Rec.Hashes.push_back(St.Hashes[Idx]);
-      Rec.Bytes.push_back(St.Bytes[Idx]);
-    }
+    Rec.Effects.assign(St.Effects.begin() + Lo, St.Effects.begin() + Hi);
+    Rec.Hashes.assign(St.Hashes.begin() + Lo, St.Hashes.begin() + Hi);
+    Rec.Bytes.assign(St.Bytes.begin() + Lo, St.Bytes.begin() + Hi);
     std::string Err;
     if (!St.Writer.writeShard(Rec, Err))
       St.failShard(std::move(Err));
@@ -421,6 +447,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   static const obs::Counter CtrIdleUs("engine.idle.us");
   static const obs::Counter CtrGoldenSplices("fi.splice.golden");
   static const obs::Counter CtrMemoSplices("fi.splice.memo");
+  static const obs::Counter CtrInjectionSplices("fi.splice.injection");
 
   if (obs::traceActive())
     obs::setTraceThreadName("fi-worker-" + std::to_string(Me));
@@ -454,8 +481,11 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   CtrIdleUs.add(WS.SchedUs);
   CtrGoldenSplices.add(WS.GoldenSplices);
   CtrMemoSplices.add(WS.MemoSplices);
+  CtrInjectionSplices.add(WS.InjectionSplices);
   uint64_t Spliced = WS.GoldenSplices + WS.MemoSplices;
   St.SplicedRuns.fetch_add(Spliced, std::memory_order_relaxed);
+  St.InjectionSplices.fetch_add(WS.InjectionSplices,
+                                std::memory_order_relaxed);
   St.SimCycles.fetch_add(WS.SimCycles, std::memory_order_relaxed);
   St.MemoEntries.fetch_add(Buf.Memo.size(), std::memory_order_relaxed);
   St.MemoBytes.fetch_add(Buf.Memo.byteSize(), std::memory_order_relaxed);
@@ -467,6 +497,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   SpanWorker.arg("spliced_runs", Spliced);
   SpanWorker.arg("golden_splices", WS.GoldenSplices);
   SpanWorker.arg("memo_splices", WS.MemoSplices);
+  SpanWorker.arg("injection_splices", WS.InjectionSplices);
   SpanWorker.arg("idle_us", WS.SchedUs);
 
   if (St.CollectProfile) {
@@ -491,7 +522,6 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
 
 CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
                               const std::vector<PlannedRun> &Runs,
-                              uint64_t PlanFingerprint,
                               const CampaignPlan *Plan,
                               const CampaignExecOptions &Exec) {
   auto Start = std::chrono::steady_clock::now();
@@ -517,17 +547,10 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   St.Progress.TotalShards = St.NumShards;
   St.Progress.TotalRuns = N;
 
-  // Execution order: stable-sorted by injection cycle. Plans built by
-  // CampaignPlan are already in trace order; arbitrary caller-built run
-  // lists (tests) are not. The sort is deterministic, which is what lets
-  // a checkpoint written by one invocation be replayed by another.
-  St.Order.resize(N);
-  for (uint32_t I = 0; I < N; ++I)
-    St.Order[I] = I;
-  std::stable_sort(St.Order.begin(), St.Order.end(),
-                   [&](uint32_t X, uint32_t Y) {
-                     return Runs[X].AfterCycle < Runs[Y].AfterCycle;
-                   });
+  // Shards run in plan order, which is trace order: a shard's walker
+  // only moves forward.
+  assert(std::is_sorted(Runs.begin(), Runs.end(), injectedEarlier) &&
+         "runs must be in nondecreasing injection-cycle order");
 
   // Prefix-checkpoint table: one fault-free replay snapshots the golden
   // machine at every placement cycle and runs on to completion, giving
@@ -567,14 +590,15 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     SpanTable.arg("bytes", St.CkBytes);
   }
 
-  CheckpointHeader Header;
-  Header.PlanFingerprint = PlanFingerprint;
-  Header.Runs = N;
-  Header.Shards = St.NumShards;
-  Header.ShardSize = St.ShardSize;
-
   uint64_t ResumedShards = 0;
   if (!Exec.CheckpointPath.empty()) {
+    // The fingerprint hashes the whole run list, so it is computed only
+    // when a checkpoint file needs it.
+    CheckpointHeader Header;
+    Header.PlanFingerprint = Plan ? Plan->fingerprint() : 0;
+    Header.Runs = N;
+    Header.Shards = St.NumShards;
+    Header.ShardSize = St.ShardSize;
     if (Exec.Resume) {
       std::vector<ShardRecord> Records;
       std::string Err;
@@ -583,13 +607,12 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
         return Result;
       }
       for (const ShardRecord &Rec : Records) {
-        auto [Lo, Hi] = St.shardRange(Rec.Shard);
-        for (uint64_t K = Lo; K < Hi; ++K) {
-          uint32_t Idx = St.Order[K];
-          St.Effects[Idx] = Rec.Effects[K - Lo];
-          St.Hashes[Idx] = Rec.Hashes[K - Lo];
-          St.Bytes[Idx] = Rec.Bytes[K - Lo];
-        }
+        uint64_t Lo = St.shardRange(Rec.Shard).first;
+        std::copy(Rec.Effects.begin(), Rec.Effects.end(),
+                  St.Effects.begin() + Lo);
+        std::copy(Rec.Hashes.begin(), Rec.Hashes.end(),
+                  St.Hashes.begin() + Lo);
+        std::copy(Rec.Bytes.begin(), Rec.Bytes.end(), St.Bytes.begin() + Lo);
         if (St.Done[Rec.Shard] == 0)
           ++ResumedShards;
         St.Done[Rec.Shard] = 1;
@@ -669,6 +692,8 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   Result.CheckpointBytes = St.CkBytes;
   Result.CheckpointRestores = St.CkRestores.load(std::memory_order_relaxed);
   Result.SplicedRuns = St.SplicedRuns.load(std::memory_order_relaxed);
+  Result.InjectionSplices =
+      St.InjectionSplices.load(std::memory_order_relaxed);
   Result.SimulatedCycles = St.SimCycles.load(std::memory_order_relaxed);
 
   if (Exec.CollectProfile) {
@@ -685,26 +710,23 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
     Result.Profile = std::move(St.Profile);
   }
 
-  std::vector<uint8_t> RunDone(N, 0);
-  for (uint64_t S = 0; S < St.NumShards; ++S)
-    if (St.Done[S]) {
-      auto [Lo, Hi] = St.shardRange(S);
-      for (uint64_t K = Lo; K < Hi; ++K)
-        RunDone[St.Order[K]] = 1;
-    }
-
-  Result.Effects.resize(N);
-  Result.TraceHashes.resize(N);
+  // The slots move into the result: a run of an unfinished shard keeps
+  // its default slot. The golden trace is in the archive from the start,
+  // so only runs with another trace need a lookup.
+  Result.Effects = std::move(St.Effects);
+  Result.TraceHashes = std::move(St.Hashes);
   std::unordered_map<uint64_t, uint64_t> Archive; // hash -> byte size
   Archive.emplace(Golden.TraceHash, Golden.approxByteSize());
-  for (uint64_t I = 0; I < N; ++I) {
-    if (!RunDone[I])
+  for (uint64_t S = 0; S < St.NumShards; ++S) {
+    if (!St.Done[S])
       continue;
-    Result.Effects[I] = St.Effects[I];
-    Result.TraceHashes[I] = St.Hashes[I];
-    ++Result.Runs;
-    ++Result.EffectCounts[static_cast<unsigned>(St.Effects[I])];
-    Archive.emplace(St.Hashes[I], St.Bytes[I]);
+    auto [Lo, Hi] = St.shardRange(S);
+    Result.Runs += Hi - Lo;
+    for (uint64_t K = Lo; K < Hi; ++K) {
+      ++Result.EffectCounts[static_cast<unsigned>(Result.Effects[K])];
+      if (Result.TraceHashes[K] != Golden.TraceHash)
+        Archive.emplace(Result.TraceHashes[K], St.Bytes[K]);
+    }
   }
   Result.DistinctTraces = Archive.size();
   for (const auto &[Hash, SizeBytes] : Archive)
@@ -864,12 +886,34 @@ std::string bec::renderCampaignProfileJson(const CampaignPhaseProfile &P) {
 CampaignResult bec::runCampaign(const Program &Prog, const Trace &Golden,
                                 const CampaignPlan &Plan,
                                 const CampaignExecOptions &Exec) {
-  return runShardedImpl(Prog, Golden, Plan.runs(), Plan.fingerprint(), &Plan,
-                        Exec);
+  return runShardedImpl(Prog, Golden, Plan.runs(), &Plan, Exec);
 }
 
 CampaignResult bec::runCampaign(const Program &Prog, const Trace &Golden,
                                 std::vector<PlannedRun> Plan) {
-  return runShardedImpl(Prog, Golden, Plan, /*PlanFingerprint=*/0,
-                        /*Plan=*/nullptr, CampaignExecOptions{});
+  // The engine runs in injection-cycle order, which a caller-built list
+  // need not be in: run a stably sorted copy and map the per-run slots
+  // back to the caller's order.
+  std::vector<uint32_t> Order(Plan.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t X, uint32_t Y) {
+    return injectedEarlier(Plan[X], Plan[Y]);
+  });
+  std::vector<PlannedRun> Sorted;
+  Sorted.reserve(Plan.size());
+  for (uint32_t I : Order)
+    Sorted.push_back(Plan[I]);
+  CampaignResult R = runShardedImpl(Prog, Golden, Sorted, /*Plan=*/nullptr,
+                                    CampaignExecOptions{});
+  if (!R.Error.empty())
+    return R;
+  std::vector<FaultEffect> Effects(Plan.size());
+  std::vector<uint64_t> Hashes(Plan.size());
+  for (size_t K = 0; K < Order.size(); ++K) {
+    Effects[Order[K]] = R.Effects[K];
+    Hashes[Order[K]] = R.TraceHashes[K];
+  }
+  R.Effects = std::move(Effects);
+  R.TraceHashes = std::move(Hashes);
+  return R;
 }

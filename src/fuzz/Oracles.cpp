@@ -199,32 +199,45 @@ OracleReport bec::fuzz::runOracles(const Program &Prog,
 
   // Checkpoint oracle: prefix-checkpointed execution (dense explicit
   // placement, so short fuzz windows still get several snapshots) vs
-  // the same plan with checkpointing off. Fork-from-snapshot and
-  // suffix splicing must be invisible in every result byte, including
-  // the archive accounting a spliced run fabricates from the memoized
-  // suffix.
+  // from-zero replay. Fork-from-snapshot and suffix splicing must be
+  // invisible in every result byte, including the archive accounting a
+  // spliced run fabricates from the memoized suffix. The bit-level plan
+  // is compared with the same plan run with checkpointing off; the
+  // exhaustive plan, where most flips are dead and settle at the
+  // injection point, with the primary oracle's from-zero result.
   if (O.CheckCheckpoint && Limit > 1) {
     obs::Span Span("fuzz.oracle.checkpoint");
+    auto SameResult = [](const CampaignResult &X, const CampaignResult &Y) {
+      return X.Effects == Y.Effects && X.TraceHashes == Y.TraceHashes &&
+             X.EffectCounts == Y.EffectCounts &&
+             X.DistinctTraces == Y.DistinctTraces &&
+             X.ArchiveBytes == Y.ArchiveBytes;
+    };
     PlanOptions On;
     On.Kind = PlanKind::BitLevel;
     On.MaxCycles = Limit - 1;
     On.CheckpointEveryK = 3;
     PlanOptions Off = On;
     Off.PrefixCheckpoint = false;
+    PlanOptions ExOn = On;
+    ExOn.Kind = PlanKind::Exhaustive;
+    ExOn.MaxCycles = Limit;
     CampaignResult COn =
         runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, On), {});
     CampaignResult COff =
         runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, Off), {});
-    if (!COn.Error.empty() || !COff.Error.empty())
+    CampaignResult CEx =
+        runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, ExOn), {});
+    if (!COn.Error.empty() || !COff.Error.empty() || !CEx.Error.empty())
       mismatch(Report.Mismatches, "checkpoint",
-               "engine error: " + COn.Error + COff.Error);
-    else if (COn.Effects != COff.Effects ||
-             COn.TraceHashes != COff.TraceHashes ||
-             COn.EffectCounts != COff.EffectCounts ||
-             COn.DistinctTraces != COff.DistinctTraces ||
-             COn.ArchiveBytes != COff.ArchiveBytes)
+               "engine error: " + COn.Error + COff.Error + CEx.Error);
+    else if (!SameResult(COn, COff))
       mismatch(Report.Mismatches, "checkpoint",
                "prefix-checkpointed result differs from from-zero replay");
+    else if (!SameResult(CEx, Ex))
+      mismatch(Report.Mismatches, "checkpoint",
+               "prefix-checkpointed exhaustive result differs from "
+               "from-zero replay");
   }
 
   // Harden oracle: the closed loop must hold on every program whose

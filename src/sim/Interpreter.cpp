@@ -5,6 +5,8 @@
 #include "support/Debug.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 using namespace bec;
 
@@ -64,6 +66,46 @@ Interpreter::decode(const Program &Prog) {
 Interpreter::Interpreter(const Program &Prog, RunOptions Opts)
     : Ops(decode(Prog)), Opts(Opts), PC(Prog.Entry) {
   M.reset(Prog);
+  markAllLinesDirty();
+}
+
+void Interpreter::markAllLinesDirty() {
+  uint64_t Lines = (M.Mem.size() + (uint64_t(1) << LineShift) - 1) >> LineShift;
+  DirtyLines.assign((Lines + 63) / 64, ~uint64_t(0));
+  if (Lines % 64)
+    DirtyLines.back() = lowBitMask(Lines % 64);
+}
+
+void Interpreter::syncFrom(Interpreter &Src) {
+  if (M.Mem.size() != Src.M.Mem.size()) {
+    *this = Src;
+  } else {
+    // Lines outside both maps are equal on both sides: neither wrote
+    // them since the last sync, which left them equal. The last line of
+    // a memory size that is not a multiple of the line size is short.
+    const uint64_t Size = M.Mem.size();
+    for (size_t Word = 0; Word < DirtyLines.size(); ++Word)
+      for (uint64_t Bits = DirtyLines[Word] | Src.DirtyLines[Word]; Bits;
+           Bits &= Bits - 1) {
+        uint64_t Off = (Word * 64 + std::countr_zero(Bits)) << LineShift;
+        std::memcpy(M.Mem.data() + Off, Src.M.Mem.data() + Off,
+                    std::min<uint64_t>(uint64_t(1) << LineShift, Size - Off));
+      }
+    if (Ops != Src.Ops)
+      Ops = Src.Ops;
+    Opts = Src.Opts;
+    M.Width = Src.M.Width;
+    M.Mask = Src.M.Mask;
+    M.Regs = Src.M.Regs;
+    PC = Src.PC;
+    CycleCount = Src.CycleCount;
+    Done = Src.Done;
+    Result = Src.Result;
+    FullHash = Src.FullHash;
+    ObsHash = Src.ObsHash;
+  }
+  std::fill(DirtyLines.begin(), DirtyLines.end(), 0);
+  std::fill(Src.DirtyLines.begin(), Src.DirtyLines.end(), 0);
 }
 
 namespace {
@@ -180,6 +222,14 @@ void Interpreter::restore(const MachineState &S) {
   Result.HasReturnValue = S.HasReturnValue;
   FullHash.restore(S.FullHashState);
   ObsHash.restore(S.ObsHashState);
+  markAllLinesDirty();
+}
+
+void Interpreter::growExecuted(uint32_t *&Pos, uint32_t *&Limit) {
+  size_t N = Pos - Result.Executed.data();
+  Result.Executed.resize(2 * N + 4096);
+  Pos = Result.Executed.data() + N;
+  Limit = Result.Executed.data() + Result.Executed.size();
 }
 
 void Interpreter::finish(Outcome End) {
@@ -207,6 +257,46 @@ void Interpreter::runToCycle(uint64_t Cycle) {
     runLoop<false>(Cycle);
 }
 
+// The run loop's direct-threaded dispatch (the GCC/Clang labels-as-values
+// extension), over runLoop's locals. DISPATCH checks the bound, fetches
+// the op at Pc, reads its sources, absorbs its PC and jumps straight to
+// its handler; every handler ends in its own copy, so each opcode gets
+// its own indirect-branch history.
+#define DISPATCH()                                                             \
+  if (Cyc >= Bound)                                                            \
+    goto Bounded;                                                              \
+  I = Code + Pc;                                                               \
+  A = R[I->Rs1];                                                               \
+  B = R[I->Rs2];                                                               \
+  if (PCBytes == 1)                                                            \
+    H = TraceHasher::absorbInto(H, Pc, 1);                                     \
+  else if (PCBytes == 2)                                                       \
+    H = TraceHasher::absorbInto(H, Pc, 2);                                     \
+  else                                                                         \
+    H = TraceHasher::absorbInto(H, Pc, 4);                                     \
+  if constexpr (Record) {                                                      \
+    if (ExPos == ExEnd)                                                        \
+      growExecuted(ExPos, ExEnd);                                              \
+    *ExPos++ = Pc;                                                             \
+  }                                                                            \
+  goto *Handlers[static_cast<unsigned>(I->Op)]
+// Retires the op and falls through to the next one.
+#define NEXT()                                                                 \
+  ++Pc;                                                                        \
+  ++Cyc;                                                                       \
+  DISPATCH()
+// Retires a branch: to its target when \p Taken, else to the next op.
+#define BRANCH(Taken)                                                          \
+  Pc = (Taken) ? I->Target : Pc + 1;                                           \
+  ++Cyc;                                                                       \
+  DISPATCH()
+// A memory access of \p Bytes at rs1 + imm; out of bounds or misaligned
+// traps before the op retires.
+#define ADDRESS(Bytes)                                                         \
+  Addr = (A + I->Imm) & Mask;                                                  \
+  if (!InBounds(Addr, Bytes))                                                  \
+    goto Trapped
+
 template <bool Record> void Interpreter::runLoop(uint64_t Cycle) {
   // Nothing to run (the walker is often already at the next injection
   // cycle); this also covers the Hang rule below, which needs Cycle past
@@ -216,6 +306,7 @@ template <bool Record> void Interpreter::runLoop(uint64_t Cycle) {
   const DecodedOp *Code = Ops->data();
   uint64_t *R = M.Regs.data();
   uint8_t *Mem = M.Mem.data();
+  uint64_t *Dirty = DirtyLines.data();
   const uint64_t MemSize = M.Mem.size();
   const unsigned W = M.Width;
   const uint64_t Mask = M.Mask;
@@ -244,17 +335,38 @@ template <bool Record> void Interpreter::runLoop(uint64_t Cycle) {
   uint64_t Cyc = CycleCount;
   uint64_t H = FullHash.value();
   Outcome End = Outcome::Finished;
+  // A recording run writes executed PCs through a cursor into room made
+  // ahead in Result.Executed, sized by the cycles this call may run (at
+  // most 4096 at first, then doubling), and trims the rest on exit.
+  uint32_t *ExPos = nullptr, *ExEnd = nullptr;
+  if constexpr (Record) {
+    size_t N = Result.Executed.size();
+    uint64_t Room = std::min<uint64_t>(Bound > Cyc ? Bound - Cyc : 0, 4096);
+    Result.Executed.resize(N + Room);
+    ExPos = Result.Executed.data() + N;
+    ExEnd = Result.Executed.data() + Result.Executed.size();
+  }
+  // The op being executed and its two source registers.
+  const DecodedOp *I = nullptr;
+  uint64_t A = 0, B = 0;
 
-  // Memory helpers: little-endian, Bytes known at each call site.
+  // Writes mask to the width and re-zero x0 (cheaper than testing Rd).
+  auto Set = [&](uint64_t V) {
+    R[I->Rd] = V & Mask;
+    R[RegZero] = 0;
+  };
+  // Memory helpers: little-endian, Bytes known at each call site. An
+  // access is aligned, so it never straddles a dirty-map line.
   auto Load = [&](uint64_t Addr, unsigned Bytes) {
     uint64_t V = 0;
-    for (unsigned I = 0; I < Bytes; ++I)
-      V |= uint64_t(Mem[Addr + I]) << (8 * I);
+    for (unsigned K = 0; K < Bytes; ++K)
+      V |= uint64_t(Mem[Addr + K]) << (8 * K);
     return V;
   };
   auto Store = [&](uint64_t Addr, uint64_t V, unsigned Bytes) {
-    for (unsigned I = 0; I < Bytes; ++I)
-      Mem[Addr + I] = static_cast<uint8_t>(V >> (8 * I));
+    for (unsigned K = 0; K < Bytes; ++K)
+      Mem[Addr + K] = static_cast<uint8_t>(V >> (8 * K));
+    Dirty[Addr >> (LineShift + 6)] |= uint64_t(1) << ((Addr >> LineShift) & 63);
     V &= lowBitMask(8 * Bytes);
     H = TraceHasher::absorbInto(H, 0x5700 + Addr);
     H = TraceHasher::absorbInto(H, V);
@@ -263,223 +375,226 @@ template <bool Record> void Interpreter::runLoop(uint64_t Cycle) {
                                static_cast<uint8_t>(Bytes)});
   };
 
-  while (Cyc < Bound) {
-    const DecodedOp &I = Code[Pc];
-    const uint64_t A = R[I.Rs1];
-    const uint64_t B = R[I.Rs2];
-    const uint64_t Imm = I.Imm;
-    uint32_t NextPC = Pc + 1;
-    uint64_t Addr;
-    if (PCBytes == 1)
-      H = TraceHasher::absorbInto(H, Pc, 1);
-    else if (PCBytes == 2)
-      H = TraceHasher::absorbInto(H, Pc, 2);
-    else
-      H = TraceHasher::absorbInto(H, Pc, 4);
-    if constexpr (Record)
-      Result.Executed.push_back(Pc);
+  // The address of the memory op being executed (set by ADDRESS).
+  uint64_t Addr = 0;
 
-    // Writes mask to the width and re-zero x0 (cheaper than testing Rd).
-    auto Set = [&](uint64_t V) {
-      R[I.Rd] = V & Mask;
-      R[RegZero] = 0;
-    };
+  // The handlers, indexed by Opcode; decode() turns every LUI into an LI.
+  static void *const Handlers[] = {
+      &&Op_LI,
+      &&Op_LI,
+      &&Op_MV,
+      &&Op_ADD,
+      &&Op_SUB,
+      &&Op_AND,
+      &&Op_OR,
+      &&Op_XOR,
+      &&Op_SLL,
+      &&Op_SRL,
+      &&Op_SRA,
+      &&Op_SLT,
+      &&Op_SLTU,
+      &&Op_ADDI,
+      &&Op_ANDI,
+      &&Op_ORI,
+      &&Op_XORI,
+      &&Op_SLLI,
+      &&Op_SRLI,
+      &&Op_SRAI,
+      &&Op_SLTI,
+      &&Op_SLTIU,
+      &&Op_MUL,
+      &&Op_MULHU,
+      &&Op_DIV,
+      &&Op_DIVU,
+      &&Op_REM,
+      &&Op_REMU,
+      &&Op_BEQ,
+      &&Op_BNE,
+      &&Op_BLT,
+      &&Op_BGE,
+      &&Op_BLTU,
+      &&Op_BGEU,
+      &&Op_J,
+      &&Op_LW,
+      &&Op_LH,
+      &&Op_LHU,
+      &&Op_LB,
+      &&Op_LBU,
+      &&Op_SW,
+      &&Op_SH,
+      &&Op_SB,
+      &&Op_OUT,
+      &&Op_RET,
+      &&Op_HALT,
+      &&Op_NOP,
+  };
+  static_assert(std::size(Handlers) == NumOpcodes,
+                "one handler per opcode, in Opcode order");
 
-    switch (I.Op) {
-    case Opcode::LI:
-    case Opcode::LUI: // decode() turns every LUI into an LI
-      Set(Imm);
-      break;
-    case Opcode::MV:
-      Set(A);
-      break;
-    case Opcode::ADD:
-      Set(A + B);
-      break;
-    case Opcode::SUB:
-      Set(A - B);
-      break;
-    case Opcode::AND:
-      Set(A & B);
-      break;
-    case Opcode::OR:
-      Set(A | B);
-      break;
-    case Opcode::XOR:
-      Set(A ^ B);
-      break;
-    case Opcode::SLL:
-      Set(A << ShiftAmount(B));
-      break;
-    case Opcode::SRL:
-      Set(A >> ShiftAmount(B));
-      break;
-    case Opcode::SRA:
-      Set(static_cast<uint64_t>(Signed(A) >> ShiftAmount(B)));
-      break;
-    case Opcode::SLT:
-      Set(Signed(A) < Signed(B));
-      break;
-    case Opcode::SLTU:
-      Set(A < B);
-      break;
-    case Opcode::ADDI:
-      Set(A + Imm);
-      break;
-    case Opcode::ANDI:
-      Set(A & Imm);
-      break;
-    case Opcode::ORI:
-      Set(A | Imm);
-      break;
-    case Opcode::XORI:
-      Set(A ^ Imm);
-      break;
-    case Opcode::SLLI:
-      Set(A << Imm);
-      break;
-    case Opcode::SRLI:
-      Set(A >> Imm);
-      break;
-    case Opcode::SRAI:
-      Set(static_cast<uint64_t>(Signed(A) >> Imm));
-      break;
-    case Opcode::SLTI:
-      Set(Signed(A) < static_cast<int64_t>(Imm));
-      break;
-    case Opcode::SLTIU:
-      Set(A < Imm);
-      break;
-    case Opcode::MUL:
-      Set(A * B);
-      break;
-    case Opcode::MULHU:
-      Set(W <= 32 ? (A * B) >> W
-                  : static_cast<uint64_t>((static_cast<__uint128_t>(A) * B) >>
-                                          W));
-      break;
-    case Opcode::DIV:
-      // RISC-V: x / 0 is all ones; min / -1 overflows to min.
-      if (B == 0)
-        Set(Mask);
-      else if (A == SignBit && B == Mask)
-        Set(SignBit);
-      else
-        Set(static_cast<uint64_t>(Signed(A) / Signed(B)));
-      break;
-    case Opcode::DIVU:
-      Set(B == 0 ? Mask : A / B);
-      break;
-    case Opcode::REM:
-      // RISC-V: x % 0 is x; min % -1 is 0.
-      if (B == 0)
-        Set(A);
-      else if (A == SignBit && B == Mask)
-        Set(0);
-      else
-        Set(static_cast<uint64_t>(Signed(A) % Signed(B)));
-      break;
-    case Opcode::REMU:
-      Set(B == 0 ? A : A % B);
-      break;
-    case Opcode::BEQ:
-      if (A == B)
-        NextPC = I.Target;
-      break;
-    case Opcode::BNE:
-      if (A != B)
-        NextPC = I.Target;
-      break;
-    case Opcode::BLT:
-      if (Signed(A) < Signed(B))
-        NextPC = I.Target;
-      break;
-    case Opcode::BGE:
-      if (Signed(A) >= Signed(B))
-        NextPC = I.Target;
-      break;
-    case Opcode::BLTU:
-      if (A < B)
-        NextPC = I.Target;
-      break;
-    case Opcode::BGEU:
-      if (A >= B)
-        NextPC = I.Target;
-      break;
-    case Opcode::J:
-      NextPC = I.Target;
-      break;
-    case Opcode::LW:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 4))
-        goto Trapped;
-      Set(Load(Addr, 4));
-      break;
-    case Opcode::LH:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 2))
-        goto Trapped;
-      Set(static_cast<uint64_t>(signExtend(Load(Addr, 2), 16)));
-      break;
-    case Opcode::LHU:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 2))
-        goto Trapped;
-      Set(Load(Addr, 2));
-      break;
-    case Opcode::LB:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 1))
-        goto Trapped;
-      Set(static_cast<uint64_t>(signExtend(Load(Addr, 1), 8)));
-      break;
-    case Opcode::LBU:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 1))
-        goto Trapped;
-      Set(Load(Addr, 1));
-      break;
-    case Opcode::SW:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 4))
-        goto Trapped;
-      Store(Addr, B, 4);
-      break;
-    case Opcode::SH:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 2))
-        goto Trapped;
-      Store(Addr, B, 2);
-      break;
-    case Opcode::SB:
-      Addr = (A + Imm) & Mask;
-      if (!InBounds(Addr, 1))
-        goto Trapped;
-      Store(Addr, B, 1);
-      break;
-    case Opcode::OUT:
-      H = TraceHasher::absorbInto(H, 0xBEC0u + A);
-      ObsHash.absorb(A);
-      if constexpr (Record)
-        Result.Events.push_back({TraceEvent::Kind::Out, 0, A, 0});
-      break;
-    case Opcode::RET:
-      Result.ReturnValue = R[RegA0];
-      Result.HasReturnValue = true;
-      ++Cyc;
-      goto Ended;
-    case Opcode::HALT:
-      ++Cyc;
-      goto Ended;
-    case Opcode::NOP:
-      break;
-    }
-    Pc = NextPC;
-    ++Cyc;
-  }
+  DISPATCH();
 
+Op_LI:
+  Set(I->Imm);
+  NEXT();
+Op_MV:
+  Set(A);
+  NEXT();
+Op_ADD:
+  Set(A + B);
+  NEXT();
+Op_SUB:
+  Set(A - B);
+  NEXT();
+Op_AND:
+  Set(A & B);
+  NEXT();
+Op_OR:
+  Set(A | B);
+  NEXT();
+Op_XOR:
+  Set(A ^ B);
+  NEXT();
+Op_SLL:
+  Set(A << ShiftAmount(B));
+  NEXT();
+Op_SRL:
+  Set(A >> ShiftAmount(B));
+  NEXT();
+Op_SRA:
+  Set(static_cast<uint64_t>(Signed(A) >> ShiftAmount(B)));
+  NEXT();
+Op_SLT:
+  Set(Signed(A) < Signed(B));
+  NEXT();
+Op_SLTU:
+  Set(A < B);
+  NEXT();
+Op_ADDI:
+  Set(A + I->Imm);
+  NEXT();
+Op_ANDI:
+  Set(A & I->Imm);
+  NEXT();
+Op_ORI:
+  Set(A | I->Imm);
+  NEXT();
+Op_XORI:
+  Set(A ^ I->Imm);
+  NEXT();
+Op_SLLI:
+  Set(A << I->Imm);
+  NEXT();
+Op_SRLI:
+  Set(A >> I->Imm);
+  NEXT();
+Op_SRAI:
+  Set(static_cast<uint64_t>(Signed(A) >> I->Imm));
+  NEXT();
+Op_SLTI:
+  Set(Signed(A) < static_cast<int64_t>(I->Imm));
+  NEXT();
+Op_SLTIU:
+  Set(A < I->Imm);
+  NEXT();
+Op_MUL:
+  Set(A * B);
+  NEXT();
+Op_MULHU:
+  Set(W <= 32 ? (A * B) >> W
+              : static_cast<uint64_t>((static_cast<__uint128_t>(A) * B) >> W));
+  NEXT();
+Op_DIV:
+  // RISC-V: x / 0 is all ones; min / -1 overflows to min.
+  if (B == 0)
+    Set(Mask);
+  else if (A == SignBit && B == Mask)
+    Set(SignBit);
+  else
+    Set(static_cast<uint64_t>(Signed(A) / Signed(B)));
+  NEXT();
+Op_DIVU:
+  Set(B == 0 ? Mask : A / B);
+  NEXT();
+Op_REM:
+  // RISC-V: x % 0 is x; min % -1 is 0.
+  if (B == 0)
+    Set(A);
+  else if (A == SignBit && B == Mask)
+    Set(0);
+  else
+    Set(static_cast<uint64_t>(Signed(A) % Signed(B)));
+  NEXT();
+Op_REMU:
+  Set(B == 0 ? A : A % B);
+  NEXT();
+Op_BEQ:
+  BRANCH(A == B);
+Op_BNE:
+  BRANCH(A != B);
+Op_BLT:
+  BRANCH(Signed(A) < Signed(B));
+Op_BGE:
+  BRANCH(Signed(A) >= Signed(B));
+Op_BLTU:
+  BRANCH(A < B);
+Op_BGEU:
+  BRANCH(A >= B);
+Op_J:
+  BRANCH(true);
+Op_LW:
+  ADDRESS(4);
+  Set(Load(Addr, 4));
+  NEXT();
+Op_LH:
+  ADDRESS(2);
+  Set(static_cast<uint64_t>(signExtend(Load(Addr, 2), 16)));
+  NEXT();
+Op_LHU:
+  ADDRESS(2);
+  Set(Load(Addr, 2));
+  NEXT();
+Op_LB:
+  ADDRESS(1);
+  Set(static_cast<uint64_t>(signExtend(Load(Addr, 1), 8)));
+  NEXT();
+Op_LBU:
+  ADDRESS(1);
+  Set(Load(Addr, 1));
+  NEXT();
+Op_SW:
+  ADDRESS(4);
+  Store(Addr, B, 4);
+  NEXT();
+Op_SH:
+  ADDRESS(2);
+  Store(Addr, B, 2);
+  NEXT();
+Op_SB:
+  ADDRESS(1);
+  Store(Addr, B, 1);
+  NEXT();
+Op_OUT:
+  H = TraceHasher::absorbInto(H, 0xBEC0u + A);
+  ObsHash.absorb(A);
+  if constexpr (Record)
+    Result.Events.push_back({TraceEvent::Kind::Out, 0, A, 0});
+  NEXT();
+Op_NOP:
+  NEXT();
+Op_RET:
+  Result.ReturnValue = R[RegA0];
+  Result.HasReturnValue = true;
+  ++Cyc;
+  goto Ended;
+Op_HALT:
+  ++Cyc;
+  goto Ended;
+
+Bounded:
   // The bound stopped the run. It hangs only if the caller asked for
   // cycles past the budget.
+  if constexpr (Record)
+    Result.Executed.resize(ExPos - Result.Executed.data());
   PC = Pc;
   CycleCount = Cyc;
   FullHash.restore(H);
@@ -490,11 +605,18 @@ template <bool Record> void Interpreter::runLoop(uint64_t Cycle) {
 Trapped:
   End = Outcome::Trap;
 Ended:
+  if constexpr (Record)
+    Result.Executed.resize(ExPos - Result.Executed.data());
   PC = Pc;
   CycleCount = Cyc;
   FullHash.restore(H);
   finish(End);
 }
+
+#undef ADDRESS
+#undef BRANCH
+#undef NEXT
+#undef DISPATCH
 
 Trace bec::simulate(const Program &Prog, RunOptions Opts) {
   Interpreter Interp(Prog, Opts);

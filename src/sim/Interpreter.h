@@ -79,8 +79,10 @@ struct MachineState {
   bool operator!=(const MachineState &O) const { return !(*this == O); }
 };
 
-/// Interpreter over one program. Copying one (the campaign engine's fork)
-/// copies the machine and cursors and shares the predecoded program.
+/// Interpreter over one program. Copying one copies the machine and
+/// cursors and shares the predecoded program; syncFrom() is the campaign
+/// engine's cheaper fork, which copies only the memory lines written
+/// since the two last synced.
 class Interpreter {
 public:
   Interpreter(const Program &Prog, RunOptions Opts = {});
@@ -116,6 +118,16 @@ public:
   /// to be meaningful.
   void restore(const MachineState &S);
 
+  /// Makes this interpreter an exact copy of \p Src, as copy-assignment
+  /// would, but copies only the 64-byte memory lines that either side
+  /// wrote since they last synced (every line when the sizes differ),
+  /// then marks both sides clean. Each interpreter tracks its own writes:
+  /// the store path marks lines, and construction and restore() mark
+  /// all of them; memory changed any other way (through machine()) is
+  /// not tracked. \p Src is non-const only for that bookkeeping; its
+  /// machine and cursors do not change.
+  void syncFrom(Interpreter &Src);
+
   /// Finalizes and returns the trace (valid once done()).
   Trace takeTrace();
 
@@ -129,6 +141,15 @@ private:
   /// hashes. Both absorb the same values in the same order.
   template <bool Record> void runLoop(uint64_t Cycle);
   void finish(Outcome End);
+  /// Makes room for more recorded PCs past \p Pos, the run loop's write
+  /// cursor into Result.Executed, and moves it and \p Limit (the end of
+  /// the room) into the new buffer. Out of line: every handler's
+  /// dispatch calls it.
+  [[gnu::noinline]] void growExecuted(uint32_t *&Pos, uint32_t *&Limit);
+  void markAllLinesDirty();
+
+  /// Memory is tracked for syncFrom() in lines of 2^LineShift bytes.
+  static constexpr unsigned LineShift = 6;
 
   /// The program, predecoded once at construction; copies share it.
   std::shared_ptr<const std::vector<DecodedOp>> Ops;
@@ -140,6 +161,10 @@ private:
   Trace Result;
   TraceHasher FullHash;
   TraceHasher ObsHash;
+  /// One bit per memory line written since the last syncFrom() this
+  /// interpreter took part in. Not architectural state: it is not part of
+  /// Machine or MachineState, and snapshots never carry it.
+  std::vector<uint64_t> DirtyLines;
 };
 
 /// Convenience wrapper: runs \p Prog to completion.

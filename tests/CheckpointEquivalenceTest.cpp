@@ -20,12 +20,15 @@
 #include "fi/CampaignPlan.h"
 #include "fi/Engine.h"
 #include "fi/SuffixMemo.h"
+#include "fuzz/Generator.h"
 #include "ir/AsmParser.h"
 #include "sim/Interpreter.h"
+#include "support/Xoshiro.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -490,6 +493,177 @@ main:
     EXPECT_EQ(On.Effects[I], Off.Effects[I]);
   }
   EXPECT_EQ(LiveFlips, Prog.Width);
+}
+
+//===----------------------------------------------------------------------===//
+// The dirty-line fork and the injection-point settle
+//===----------------------------------------------------------------------===//
+
+/// Drives a walker and a fork synced from it through a random sequence
+/// of walker advances, forks, flips, faulty runs and walker restores.
+/// After every syncFrom, the fork must hold exactly the state a
+/// copy-assigned fork holds; after every faulty run, the two forks must
+/// have produced the same trace.
+void checkDirtyLineFork(const Program &Prog, uint64_t Seed) {
+  SCOPED_TRACE(Prog.Name + ", seed " + std::to_string(Seed));
+  Trace Golden = simulate(Prog);
+  RunOptions RO = hashOnly(Golden.Cycles);
+  // Restore targets: golden snapshots, and faulty ones taken below.
+  std::vector<MachineState> Targets = buildTable(Prog, RO, /*K=*/5);
+  Xoshiro256 Rng(Seed);
+  Interpreter Walker(Prog, RO);
+  Interpreter CopyFork(Prog, RO);
+  std::optional<Interpreter> Fork;
+  for (unsigned Step = 0; Step < 200; ++Step) {
+    uint64_t Action = Rng.below(8);
+    if (Action < 3) {
+      Walker.runToCycle(Walker.cycle() + Rng.range(1, 40));
+      continue;
+    }
+    if (Action == 3) {
+      Walker.restore(Targets[Rng.below(Targets.size())]);
+      continue;
+    }
+    if (Fork)
+      Fork->syncFrom(Walker);
+    else
+      Fork.emplace(Walker);
+    CopyFork = Walker;
+    ASSERT_TRUE(Fork->snapshot() == CopyFork.snapshot()) << "step " << Step;
+    if (Fork->done())
+      continue;
+    Reg R = static_cast<Reg>(Rng.below(NumRegs));
+    unsigned Bit = static_cast<unsigned>(Rng.below(Prog.Width));
+    Fork->machine().flipRegBit(R, Bit);
+    CopyFork.machine().flipRegBit(R, Bit);
+    // A faulty run that stops part way leaves its writes for the next
+    // sync to undo; one that runs to the end also checks the trace.
+    if (Rng.chance(1, 2)) {
+      uint64_t Stop = Fork->cycle() + Rng.range(1, 60);
+      Fork->runToCycle(Stop);
+      CopyFork.runToCycle(Stop);
+      ASSERT_TRUE(Fork->snapshot() == CopyFork.snapshot()) << "step " << Step;
+      if (!Fork->done())
+        Targets.push_back(Fork->snapshot());
+    } else {
+      Fork->run();
+      CopyFork.run();
+      ASSERT_TRUE(Fork->snapshot() == CopyFork.snapshot()) << "step " << Step;
+      Trace FT = Fork->takeTrace();
+      Trace CT = CopyFork.takeTrace();
+      ASSERT_EQ(FT.TraceHash, CT.TraceHash) << "step " << Step;
+      ASSERT_EQ(FT.ObservableHash, CT.ObservableHash) << "step " << Step;
+    }
+  }
+}
+
+TEST(CheckpointEquivalence, DirtyLineForkMatchesCopyAssignment) {
+  // Store-heavy generated programs: 32-bit width, several memory-mix
+  // idioms over the .data buffer of a 64 KiB memory.
+  fuzz::GeneratorOptions GO;
+  GO.Widths = {32};
+  GO.MinBlocks = 4;
+  GO.MaxBlocks = 6;
+  unsigned Programs = 0;
+  for (uint64_t I = 0; I < 400 && Programs < 6; ++I) {
+    fuzz::GeneratedProgram G =
+        fuzz::generateProgram(fuzz::programSeed(17, I), GO);
+    ASSERT_TRUE(G.Error.empty()) << G.Error;
+    uint32_t Stores = G.OpcodeCount[unsigned(Opcode::SW)] +
+                      G.OpcodeCount[unsigned(Opcode::SH)] +
+                      G.OpcodeCount[unsigned(Opcode::SB)];
+    if (G.IdiomCount[unsigned(fuzz::Idiom::MemoryMix)] < 2 || Stores < 4)
+      continue;
+    ++Programs;
+    checkDirtyLineFork(G.Prog, G.Seed);
+  }
+  EXPECT_EQ(Programs, 6u);
+
+  // A memory of 4100 bytes (the smallest the verifier accepts is the
+  // 4 KiB below the data base): 64 full lines and a 4-byte one, which
+  // both loops store into (the last word is bytes 4096..4099).
+  static const char *Src = R"(
+.width 32
+.memsize 4100
+main:
+  li   t0, 3900
+  li   t1, 50
+  li   t2, 0x12345
+fill:
+  sw   t2, 0(t0)
+  addi t2, t2, 77
+  addi t0, t0, 4
+  addi t1, t1, -1
+  bnez t1, fill
+  li   t1, 50
+  li   a0, 0
+mix:
+  addi t0, t0, -4
+  lw   t3, 0(t0)
+  xor  t3, t3, t1
+  sh   t3, 2(t0)
+  sb   t1, 1(t0)
+  add  a0, a0, t3
+  addi t1, t1, -1
+  bnez t1, mix
+  out  a0
+  ret
+)";
+  Program Short = parseAsmOrDie(Src, "short-line");
+  ASSERT_EQ(Short.MemSize % 64, 4u);
+  ASSERT_EQ(simulate(Short).End, Outcome::Finished);
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+    checkDirtyLineFork(Short, Seed);
+}
+
+TEST(CheckpointEquivalence, DeadFlipsSettleAtInjection) {
+  // The exhaustive plan flips every bit of every register: most flips
+  // land in a register no path reads before redefining it, and those
+  // settle at the injection point without a fork. Their number follows
+  // from the recorded golden trace and the plan's live-in masks alone:
+  // every (cycle, register) site whose register is x0 or not live into
+  // the PC about to execute, times the width.
+  const Workload *W = findWorkload("bitcount");
+  ASSERT_NE(W, nullptr);
+  Program Prog = loadWorkload(*W);
+  BECAnalysis A = BECAnalysis::run(Prog);
+  Trace Golden = simulate(Prog);
+
+  PlanOptions On;
+  On.Kind = PlanKind::Exhaustive;
+  On.MaxCycles = 200;
+  PlanOptions Off = On;
+  Off.PrefixCheckpoint = false;
+  CampaignPlan OnPlan = CampaignPlan::build(A, Golden, On);
+  ASSERT_TRUE(OnPlan.prefixCheckpoint());
+  const std::vector<uint32_t> &LiveIn = OnPlan.liveInMasks();
+
+  uint64_t DeadSites = 0;
+  for (uint64_t C = 0; C < On.MaxCycles; ++C)
+    for (Reg R = 0; R < NumRegs; ++R)
+      DeadSites += R == RegZero || !((LiveIn[Golden.Executed[C]] >> R) & 1);
+  ASSERT_GT(DeadSites, 0u);
+
+  CampaignExecOptions Serial;
+  Serial.Threads = 1;
+  CampaignResult ROn = runCampaign(Prog, Golden, OnPlan, Serial);
+  CampaignResult ROff =
+      runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, Off), Serial);
+  ASSERT_TRUE(ROn.Error.empty()) << ROn.Error;
+  ASSERT_TRUE(ROff.Error.empty()) << ROff.Error;
+  EXPECT_EQ(ROn.InjectionSplices, DeadSites * Prog.Width);
+  EXPECT_GE(ROn.SplicedRuns, ROn.InjectionSplices);
+  EXPECT_EQ(ROff.InjectionSplices, 0u);
+  EXPECT_EQ(ROff.SplicedRuns, 0u);
+  expectSameResult(ROff, ROn);
+
+  CampaignExecOptions Stealing;
+  Stealing.Threads = 3;
+  Stealing.ShardSize = 64;
+  CampaignResult Threaded = runCampaign(Prog, Golden, OnPlan, Stealing);
+  ASSERT_TRUE(Threaded.Error.empty()) << Threaded.Error;
+  EXPECT_EQ(Threaded.InjectionSplices, ROn.InjectionSplices);
+  expectSameResult(ROff, Threaded);
 }
 
 //===----------------------------------------------------------------------===//
