@@ -198,16 +198,300 @@ TEST(Driver, AnalyzeExternalAsmFile) {
   EXPECT_NE(R.Out.find(Path), std::string::npos);
 }
 
+/// One command line and the exit code the driver must return for it.
+struct UsageRow {
+  std::vector<std::string> Args;
+  int Exit;
+};
+
+constexpr int Ok = tool::ExitSuccess;
+constexpr int Usage = tool::ExitUsage;
+constexpr int Bad = tool::ExitBadInput;
+
+/// A port nothing listens on, and a path no file can be created at:
+/// command lines that parse stop at "cannot connect" or "cannot write"
+/// (exit 2) before doing any work, so a row shows parse acceptance
+/// cheaply.
+const std::string NoServer = "127.0.0.1:1";
+const std::string Unwritable = "/dev/null/x";
+
+void expectExits(const std::vector<UsageRow> &Rows) {
+  for (const UsageRow &Row : Rows) {
+    DriverRun R = run(Row.Args);
+    std::string Line = "bec";
+    for (const std::string &A : Row.Args)
+      Line += " " + A;
+    EXPECT_EQ(R.Status, Row.Exit) << Line << "\n" << R.Err;
+  }
+}
+
+/// Every rejection of the command-line layer, each next to an accepted
+/// twin that must still parse. Rows ending in `--workload nonesuch`,
+/// `--remote NoServer` or an Unwritable file get past parsing and fail
+/// with exit 2 at their first real step.
 TEST(Driver, UsageErrors) {
-  EXPECT_EQ(run({}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"frobnicate"}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"analyze", "--workload"}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"analyze", "--bogus-flag"}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"analyze", "--emit", "x.s"}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"analyze", "--jobs", "many"}).Status, tool::ExitUsage);
-  EXPECT_EQ(run({"campaign", "--max-cycles", "10O"}).Status, tool::ExitUsage);
-  // --emit needs exactly one target; the default selection is all of them.
-  EXPECT_EQ(run({"schedule", "--emit", "x.s"}).Status, tool::ExitUsage);
+  expectExits({
+      // General grammar.
+      {{}, Usage},
+      {{"frobnicate"}, Usage},
+      {{"--bogus"}, Usage},
+      {{"--list-workloads"}, Usage},
+      {{"analyze", "--workload"}, Usage},
+      {{"analyze", "--bogus-flag"}, Usage},
+      {{"analyze", "bitcount"}, Usage},
+      {{"analyze", "--"}, Usage},
+      {{"analyze", "-x"}, Usage},
+      {{"analyze", "--all=1"}, Usage},
+      {{"stats", "--metrics=yes"}, Usage},
+      {{"campaign", "--resume=1", "--checkpoint", "x.jsonl"}, Usage},
+      {{"analyze", "--workload=nonesuch"}, Bad},
+      {{"-h"}, Ok},
+      {{"--help"}, Ok},
+      {{"analyze", "--help"}, Ok},
+      {{"analyze", "-h", "--bogus"}, Ok},
+      {{"analyze", "--list-workloads", "--bogus"}, Ok},
+      {{"version", "--bogus"}, Ok},
+      {{"--version"}, Ok},
+      // --jobs.
+      {{"analyze", "--jobs", "many"}, Usage},
+      {{"analyze", "--jobs"}, Usage},
+      {{"analyze", "--jobs", "4", "--workload", "nonesuch"}, Bad},
+      {{"analyze", "--jobs=0", "--workload", "nonesuch"}, Bad},
+      {{"analyze", "--jobs", "65536", "--workload", "nonesuch"}, Bad},
+      {{"serve", "--jobs", "4", "--log-file", Unwritable}, Bad},
+      {{"gateway", "--backends", NoServer, "--jobs", "2", "--log-file",
+        Unwritable}, Bad},
+      {{"client", "analyze", "bitcount", "--jobs", "2", "--remote", NoServer},
+       Bad},
+      // --max-cycles.
+      {{"campaign", "--max-cycles", "10O"}, Usage},
+      {{"campaign", "--max-cycles", "10", "--workload", "nonesuch"}, Bad},
+      {{"report", "--max-cycles", "10", "--workload", "nonesuch"}, Bad},
+      {{"fuzz", "--max-cycles", "24", "--count", "1", "--emit-corpus",
+        Unwritable}, Bad},
+      {{"client", "report", "bitcount", "--max-cycles", "10", "--remote",
+        NoServer}, Bad},
+      {{"client", "campaign", "bitcount", "--max-cycles", "10", "--remote",
+        NoServer}, Bad},
+      // --plan.
+      {{"campaign", "--plan", "random"}, Usage},
+      {{"campaign", "--plan"}, Usage},
+      {{"campaign", "--plan", "EXHAUSTIVE", "--workload", "nonesuch"}, Bad},
+      {{"campaign", "--plan=value", "--workload", "nonesuch"}, Bad},
+      {{"client", "campaign", "bitcount", "--plan", "value", "--remote",
+        NoServer}, Bad},
+      // --sample / --shard-size.
+      {{"campaign", "--sample", "many"}, Usage},
+      {{"analyze", "--sample", "10"}, Usage},
+      {{"fuzz", "--sample", "5"}, Usage},
+      {{"client", "analyze", "bitcount", "--sample", "4", "--remote", NoServer},
+       Usage},
+      {{"campaign", "--sample", "4", "--workload", "nonesuch"}, Bad},
+      {{"client", "campaign", "bitcount", "--sample", "4", "--remote",
+        NoServer}, Bad},
+      {{"client", "campaign/run", "bitcount", "--sample", "4", "--remote",
+        NoServer}, Bad},
+      {{"campaign", "--shard-size", "0"}, Usage},
+      {{"campaign", "--shard-size", "x"}, Usage},
+      {{"report", "--shard-size", "8"}, Usage},
+      {{"campaign", "--shard-size", "8", "--workload", "nonesuch"}, Bad},
+      // --seed / --threads / --progress.
+      {{"campaign", "--seed", "x"}, Usage},
+      {{"analyze", "--seed", "3"}, Usage},
+      {{"schedule", "--seed", "3"}, Usage},
+      {{"campaign", "--seed", "3", "--workload", "nonesuch"}, Bad},
+      {{"client", "campaign", "bitcount", "--seed", "3", "--remote", NoServer},
+       Bad},
+      {{"fuzz", "--seed", "3", "--count", "1", "--emit-corpus", Unwritable},
+       Bad},
+      {{"campaign", "--threads", "65537"}, Usage},
+      {{"campaign", "--threads", "x"}, Usage},
+      {{"harden", "--threads", "2"}, Usage},
+      {{"client", "analyze", "bitcount", "--threads", "2"}, Usage},
+      {{"campaign", "--threads", "65536", "--workload", "nonesuch"}, Bad},
+      {{"campaign", "--threads", "0", "--workload", "nonesuch"}, Bad},
+      {{"fuzz", "--threads", "2", "--count", "1", "--emit-corpus", Unwritable},
+       Bad},
+      {{"report", "--progress"}, Usage},
+      {{"campaign", "--progress", "--workload", "nonesuch"}, Bad},
+      {{"fuzz", "--progress", "--count", "1", "--emit-corpus", Unwritable},
+       Bad},
+      {{"client", "campaign/run", "bitcount", "--progress", "--threads", "2",
+        "--shard-size", "8", "--remote", NoServer}, Bad},
+      // --prefix-checkpoint.
+      {{"campaign", "--prefix-checkpoint=0"}, Usage},
+      {{"campaign", "--prefix-checkpoint=x"}, Usage},
+      {{"campaign", "--prefix-checkpoint="}, Usage},
+      {{"campaign", "--prefix-checkpoint", "off"}, Usage},
+      {{"analyze", "--prefix-checkpoint"}, Usage},
+      {{"fuzz", "--prefix-checkpoint"}, Usage},
+      {{"campaign", "--prefix-checkpoint", "--workload", "nonesuch"}, Bad},
+      {{"campaign", "--prefix-checkpoint=OFF", "--workload", "nonesuch"}, Bad},
+      {{"campaign", "--prefix-checkpoint=64", "--workload", "nonesuch"}, Bad},
+      // --checkpoint / --resume.
+      {{"harden", "--checkpoint", "x.jsonl"}, Usage},
+      {{"analyze", "--resume"}, Usage},
+      {{"campaign", "--resume"}, Usage},
+      {{"fuzz", "--resume"}, Usage},
+      {{"campaign", "--checkpoint"}, Usage},
+      {{"campaign", "--all", "--checkpoint", "x.jsonl"}, Usage},
+      {{"campaign", "--workload", "bitcount", "--checkpoint", "x.jsonl",
+        "--remote", NoServer}, Usage},
+      {{"client", "campaign", "bitcount", "--checkpoint", "x.jsonl", "--remote",
+        NoServer}, Usage},
+      {{"campaign", "--checkpoint", "x.jsonl", "--resume", "--workload",
+        "nonesuch"}, Bad},
+      {{"fuzz", "--checkpoint", "x.jsonl", "--resume", "--count", "1",
+        "--emit-corpus", Unwritable}, Bad},
+      // --profile.
+      {{"analyze", "--profile", "p.json"}, Usage},
+      {{"fuzz", "--profile", "p.json"}, Usage},
+      {{"campaign", "--workload", "bitcount", "--profile", "p.json", "--remote",
+        NoServer}, Usage},
+      {{"campaign", "--all", "--profile", "p.json"}, Usage},
+      {{"campaign", "--profile", "p.json", "--workload", "nonesuch"}, Bad},
+      // --emit / --policy.
+      {{"analyze", "--emit", "x.s"}, Usage},
+      {{"schedule", "--emit", "x.s"}, Usage},
+      {{"harden", "--sweep", "5,10", "--emit", "x.s"}, Usage},
+      {{"client", "schedule", "bitcount", "--emit", "x.s", "--remote",
+        NoServer}, Usage},
+      {{"schedule", "--emit", "x.s", "--remote", NoServer}, Usage},
+      {{"schedule", "--emit", "x.s", "--workload", "nonesuch"}, Bad},
+      {{"harden", "--emit", "x.s", "--budget", "5", "--workload", "nonesuch"},
+       Bad},
+      {{"schedule", "--workload", "bitcount", "--emit", "x.s", "--remote",
+        NoServer}, Bad},
+      {{"schedule", "--policy", "random"}, Usage},
+      {{"schedule", "--policy", "WORST", "--workload", "nonesuch"}, Bad},
+      {{"schedule", "--policy=source", "--emit", "x.s", "--workload",
+        "nonesuch"}, Bad},
+      // --budget / --sweep.
+      {{"harden", "--budget", "nope"}, Usage},
+      {{"harden", "--budget", "-3"}, Usage},
+      {{"harden", "--budget", "nan"}, Usage},
+      {{"harden", "--budget", "inf"}, Usage},
+      {{"harden", "--budget="}, Usage},
+      {{"fuzz", "--budget", "5.5"}, Usage},
+      {{"harden", "--budget", "12.5", "--workload", "nonesuch"}, Bad},
+      {{"fuzz", "--budget", "100", "--count", "1", "--emit-corpus", Unwritable},
+       Bad},
+      {{"client", "harden", "bitcount", "--budget", "5", "--remote", NoServer},
+       Bad},
+      {{"harden", "--sweep", "5,x"}, Usage},
+      {{"harden", "--sweep="}, Usage},
+      {{"harden", "--sweep", ","}, Usage},
+      {{"harden", "--sweep", "0,10", "--workload", "nonesuch"}, Bad},
+      {{"client", "harden", "bitcount", "--sweep", "5,10", "--remote",
+        NoServer}, Bad},
+      // Fuzz-only.
+      {{"fuzz", "--count", "0"}, Usage},
+      {{"fuzz", "--count", "x"}, Usage},
+      {{"analyze", "--count", "3"}, Usage},
+      {{"campaign", "--bank", "d"}, Usage},
+      {{"harden", "--emit-corpus", "d"}, Usage},
+      {{"client", "campaign", "bitcount", "--count", "3", "--remote", NoServer},
+       Usage},
+      {{"fuzz", "--bank", "d", "--format", "json", "--count", "1",
+        "--emit-corpus", Unwritable}, Bad},
+      // --format.
+      {{"analyze", "--format", "yaml"}, Usage},
+      {{"analyze", "--format", "JSON", "--workload", "nonesuch"}, Bad},
+      {{"fuzz", "--format", "json", "--count", "1", "--emit-corpus",
+        Unwritable}, Bad},
+      // --remote.
+      {{"analyze", "--remote", "nohost"}, Usage},
+      {{"analyze", "--remote", "h:0"}, Usage},
+      {{"analyze", "--remote", "h:65536"}, Usage},
+      {{"analyze", "--remote", ":1"}, Usage},
+      {{"analyze", "--remote", "h:1x"}, Usage},
+      {{"fuzz", "--remote", "h:1"}, Usage},
+      {{"serve", "--remote", NoServer}, Usage},
+      {{"gateway", "--backends", NoServer, "--remote", NoServer}, Usage},
+      {{"analyze", "--workload", "bitcount", "--remote", NoServer}, Bad},
+      {{"stats", "--remote", NoServer}, Bad},
+      {{"client", "version", "--remote", NoServer}, Bad},
+      // Serve / gateway.
+      {{"serve", "--port", "70000"}, Usage},
+      {{"serve", "--port", "x"}, Usage},
+      {{"client", "shutdown", "--port", "4690"}, Usage},
+      {{"analyze", "--host", "0.0.0.0"}, Usage},
+      {{"stats", "--port-file", "p"}, Usage},
+      {{"serve", "--port", "0", "--host", "127.0.0.1", "--port-file", "p",
+        "--log-file", Unwritable}, Bad},
+      {{"gateway", "--backends", NoServer, "--port", "0", "--host", "127.0.0.1",
+        "--log-file", Unwritable}, Bad},
+      {{"serve", "--queue-depth", "1048577"}, Usage},
+      {{"serve", "--queue-depth", "x"}, Usage},
+      {{"gateway", "--backends", NoServer, "--queue-depth", "4"}, Usage},
+      {{"serve", "--queue-depth", "1048576", "--log-file", Unwritable}, Bad},
+      {{"gateway"}, Usage},
+      {{"gateway", "--backends", "nohost"}, Usage},
+      {{"gateway", "--backends="}, Usage},
+      {{"gateway", "--backends", NoServer + ",bad"}, Usage},
+      {{"serve", "--backends", NoServer}, Usage},
+      {{"gateway", "--backends", NoServer, "--workload", "bitcount"}, Usage},
+      {{"gateway", "--backends", NoServer + ",127.0.0.1:1", "--log-file",
+        Unwritable}, Bad},
+      {{"gateway", "--backends", NoServer, "--health-interval", "0"}, Usage},
+      {{"gateway", "--backends", NoServer, "--health-interval", "3601"}, Usage},
+      {{"serve", "--health-interval", "5"}, Usage},
+      {{"gateway", "--backends", NoServer, "--health-interval", "3600",
+        "--log-file", Unwritable}, Bad},
+      {{"serve", "--log-level", "loud"}, Usage},
+      {{"serve", "--log-level", "DEBUG"}, Usage},
+      {{"serve", "--log-format", "xml"}, Usage},
+      {{"analyze", "--log-level", "debug"}, Usage},
+      {{"stats", "--log-file", "l"}, Usage},
+      {{"client", "version", "--log-format", "logfmt", "--remote", NoServer},
+       Usage},
+      {{"serve", "--log-level", "debug", "--log-format", "logfmt", "--log-file",
+        Unwritable}, Bad},
+      // Stats.
+      {{"analyze", "--watch", "5"}, Usage},
+      {{"analyze", "--metrics"}, Usage},
+      {{"stats", "--watch"}, Usage},
+      {{"stats", "--watch", "0"}, Usage},
+      {{"stats", "--watch", "86401"}, Usage},
+      {{"stats", "--watch", "86400", "--remote", NoServer}, Bad},
+      {{"stats", "--metrics", "--remote", NoServer}, Bad},
+      // Target selection where no targets are taken.
+      {{"fuzz", "--workload", "bitcount"}, Usage},
+      {{"fuzz", "--all"}, Usage},
+      {{"fuzz", "--asm", "x.s"}, Usage},
+      {{"stats", "--workload", "bitcount"}, Usage},
+      {{"stats", "--all"}, Usage},
+      {{"client", "analyze", "--all", "--remote", NoServer}, Usage},
+      {{"client", "analyze", "--workload", "bitcount", "--remote", NoServer},
+       Usage},
+      {{"client", "analyze", "--asm", "x.s", "--remote", NoServer}, Usage},
+      // Client grammar.
+      {{"client"}, Usage},
+      {{"client", "--remote", NoServer}, Usage},
+      {{"client", "bogus", "--remote", NoServer}, Usage},
+      {{"client", "analyze/run", "--remote", NoServer}, Usage},
+      {{"client", "version", "extra", "--remote", NoServer}, Usage},
+      {{"client", "counts", "--remote", NoServer}, Usage},
+      {{"client", "gateway/drain", "--remote", NoServer}, Usage},
+      {{"client", "trace/dump", "a", "b", "--remote", NoServer}, Usage},
+      {{"client", "log/level", "a", "b", "--remote", NoServer}, Usage},
+      {{"client", "intern", "--remote", NoServer}, Usage},
+      {{"client", "counts", "bitcount", "--remote", NoServer}, Bad},
+      {{"client", "--remote", NoServer, "analyze", "bitcount"}, Bad},
+      {{"client", "analyze", "bitcount", "--format", "json", "--remote",
+        NoServer}, Bad},
+      {{"client", "intern", "/nonexistent/x.s", "--remote", NoServer}, Bad},
+      {{"client", "gateway/undrain", NoServer, "--remote", NoServer}, Bad},
+      {{"client", "trace/dump", "--remote", NoServer}, Bad},
+      {{"client", "log/level", "info", "--remote", NoServer}, Bad},
+      // --trace-out.
+      {{"analyze", "--trace-out"}, Usage},
+      {{"analyze", "--trace-out=" + Unwritable, "--workload", "nonesuch"},
+       Bad},
+      {{"client", "version", "--trace-out", Unwritable, "--remote", NoServer},
+       Bad},
+      {{"stats", "--trace-out", Unwritable, "--remote", NoServer}, Bad},
+  });
 
   DriverRun Unknown = run({"analyze", "--workload", "nonesuch"});
   EXPECT_EQ(Unknown.Status, tool::ExitBadInput);
@@ -215,6 +499,77 @@ TEST(Driver, UsageErrors) {
 
   EXPECT_EQ(run({"analyze", "--asm", "/nonexistent/x.s"}).Status,
             tool::ExitBadInput);
+}
+
+/// A flag is valid only with the subcommands (and client methods) that
+/// read it; elsewhere it is a usage error rather than silently ignored.
+/// --prefix-checkpoint tunes the local engine only (becd takes no such
+/// param). Unsigned flags take decimal digits only, and are bounded
+/// before they narrow: a sign or an overflow never wraps.
+TEST(Driver, FlagsAreRejectedWhereNoSubcommandReadsThem) {
+  expectExits({
+      {{"analyze", "--jobs", "4294967296", "--workload", "nonesuch"}, Usage},
+      {{"analyze", "--jobs", "65537", "--workload", "nonesuch"}, Usage},
+      {{"analyze", "--jobs", "-1", "--workload", "nonesuch"}, Usage},
+      {{"serve", "--jobs", "4294967296", "--log-file", Unwritable}, Usage},
+      {{"analyze", "--sweep", "5", "--workload", "nonesuch"}, Usage},
+      {{"schedule", "--sweep", "5,10", "--workload", "nonesuch"}, Usage},
+      {{"fuzz", "--sweep", "5", "--count", "1", "--emit-corpus", Unwritable},
+       Usage},
+      {{"client", "analyze", "bitcount", "--sweep", "5", "--remote", NoServer},
+       Usage},
+      {{"campaign", "--budget", "5", "--workload", "nonesuch"}, Usage},
+      {{"analyze", "--budget", "5", "--workload", "nonesuch"}, Usage},
+      {{"client", "campaign", "bitcount", "--budget", "5", "--remote",
+        NoServer}, Usage},
+      {{"analyze", "--plan", "exhaustive", "--workload", "nonesuch"}, Usage},
+      {{"report", "--plan", "bit", "--workload", "nonesuch"}, Usage},
+      {{"fuzz", "--plan", "value", "--count", "1", "--emit-corpus", Unwritable},
+       Usage},
+      {{"client", "report", "bitcount", "--plan", "value", "--remote",
+        NoServer}, Usage},
+      {{"analyze", "--max-cycles", "3", "--workload", "nonesuch"}, Usage},
+      {{"harden", "--max-cycles", "3", "--workload", "nonesuch"}, Usage},
+      {{"client", "analyze", "bitcount", "--max-cycles", "3", "--remote",
+        NoServer}, Usage},
+      {{"analyze", "--policy", "worst", "--workload", "nonesuch"}, Usage},
+      {{"harden", "--policy", "worst", "--workload", "nonesuch"}, Usage},
+      {{"client", "schedule", "bitcount", "--policy", "worst", "--remote",
+        NoServer}, Usage},
+      {{"analyze", "--plan", "exhaustive", "--policy", "worst", "--max-cycles",
+        "3", "--workload", "nonesuch"}, Usage},
+      {{"serve", "--workload", "bitcount", "--log-file", Unwritable}, Usage},
+      {{"serve", "--all", "--log-file", Unwritable}, Usage},
+      {{"fuzz", "--jobs", "2", "--count", "1", "--emit-corpus", Unwritable},
+       Usage},
+      {{"stats", "--jobs", "2", "--remote", NoServer}, Usage},
+      {{"client", "version", "--jobs", "2", "--remote", NoServer}, Usage},
+      {{"stats", "--format", "json", "--remote", NoServer}, Usage},
+      {{"serve", "--format", "json", "--log-file", Unwritable}, Usage},
+      {{"client", "version", "--format", "json", "--remote", NoServer}, Usage},
+      {{"campaign", "--workload", "bitcount", "--prefix-checkpoint=off",
+        "--remote", NoServer}, Usage},
+      {{"campaign", "--workload", "bitcount", "--prefix-checkpoint=64",
+        "--remote", NoServer}, Usage},
+      {{"client", "campaign", "bitcount", "--prefix-checkpoint", "--remote",
+        NoServer}, Usage},
+      {{"client", "campaign/run", "bitcount", "--prefix-checkpoint=off",
+        "--remote", NoServer}, Usage},
+      {{"campaign", "--max-cycles", "-5", "--workload", "nonesuch"}, Usage},
+      {{"campaign", "--shard-size", "-1", "--workload", "nonesuch"}, Usage},
+      {{"campaign", "--sample", "-1", "--workload", "nonesuch"}, Usage},
+      {{"campaign", "--seed", "-1", "--workload", "nonesuch"}, Usage},
+      {{"campaign", "--seed", "+3", "--workload", "nonesuch"}, Usage},
+      {{"campaign", "--seed", "99999999999999999999", "--workload",
+        "nonesuch"}, Usage},
+      {{"campaign", "--prefix-checkpoint=-8", "--workload", "nonesuch"},
+       Usage},
+      {{"fuzz", "--budget", "-1", "--count", "1", "--emit-corpus",
+        Unwritable}, Usage},
+      {{"fuzz", "--count", "-1", "--emit-corpus", Unwritable}, Usage},
+      {{"campaign", "--seed", "18446744073709551615", "--workload",
+        "nonesuch"}, Bad},
+  });
 }
 
 /// Reads a file into a string (empty when missing).
@@ -505,6 +860,27 @@ TEST(Driver, FuzzUsageErrors) {
   EXPECT_EQ(run({"analyze", "--count", "3"}).Status, tool::ExitUsage);
   EXPECT_EQ(run({"campaign", "--bank", "d"}).Status, tool::ExitUsage);
   EXPECT_EQ(run({"harden", "--emit-corpus", "d"}).Status, tool::ExitUsage);
+}
+
+/// `bec --help` is pinned byte for byte; a bare `bec` and an unknown
+/// subcommand print the same text to stderr.
+TEST(Driver, HelpMatchesGolden) {
+  std::string Golden = slurp(BEC_TESTS_DIR "/golden/help.txt");
+  ASSERT_FALSE(Golden.empty());
+  for (const char *Spelling : {"--help", "-h"}) {
+    DriverRun Help = run({Spelling});
+    EXPECT_EQ(Help.Status, tool::ExitSuccess);
+    EXPECT_EQ(Help.Out, Golden) << Spelling;
+  }
+  EXPECT_EQ(run({"campaign", "--help"}).Out, Golden);
+
+  DriverRun Bare = run({});
+  EXPECT_EQ(Bare.Status, tool::ExitUsage);
+  EXPECT_EQ(Bare.Err, Golden);
+  DriverRun Unknown = run({"frobnicate"});
+  EXPECT_EQ(Unknown.Err, "bec: unknown subcommand 'frobnicate'\n" + Golden);
+  DriverRun BadFlag = run({"analyze", "--bogus"});
+  EXPECT_EQ(BadFlag.Err, "bec: unknown option '--bogus'\n" + Golden);
 }
 
 TEST(Driver, HelpAndListWorkloads) {

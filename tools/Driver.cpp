@@ -33,11 +33,14 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -45,6 +48,7 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 using namespace bec;
 using namespace bec::tool;
@@ -54,172 +58,16 @@ namespace {
 //===----------------------------------------------------------------------===//
 // Command line
 //===----------------------------------------------------------------------===//
+//
+// Two tables are the whole command-line surface: one row per subcommand
+// and one row per flag. Parsing, `--help` and the "only valid with"
+// gates are generated from them, so adding a flag is adding one row.
 
-const char *const UsageText = R"(usage: bec <subcommand> [options]
-
-Subcommands:
-  analyze    Static fault-space metrics per target (Table III shape).
-  campaign   Plan and execute a fault-injection campaign per target.
-  schedule   Vulnerability-aware list scheduling; vulnerability per policy.
-  harden     BEC-guided selective hardening under a dynamic-instruction
-             budget; per target the reached cost/vulnerability Pareto
-             point plus closed-loop validation. Exits 3 if any hardened
-             program fails validation.
-  report     Full pipeline: metrics + bit-level campaign + soundness
-             validation. Exits 3 if any target validates unsound.
-  fuzz       Differential soundness fuzzing: generate a seeded corpus of
-             verifier-legal programs and cross-check the BEC-pruned
-             campaign against exhaustive injection, plus print/parse
-             round-trip, fate-validation, engine-determinism, harden and
-             session oracles. Mismatching programs are delta-debugged to
-             1-minimal reproducers. Takes no targets; local only.
-             Exits 3 on any mismatch.
-  serve      Run the becd analysis server: a shared, cached session pool
-             behind a newline-delimited JSON-RPC protocol over TCP,
-             served by a poll() event loop with a bounded worker pool
-             (connections decoupled from threads, pipelining, typed
-             overload errors).
-  gateway    Front N becd backends behind one becd-indistinguishable
-             endpoint: requests route by consistent hashing of their
-             program name, so each backend's session cache holds a
-             stable shard of the program space. Health-checks, drains
-             (gateway/drain) and fails over between backends; `stats
-             --remote` through it aggregates every backend.
-  client     Speak the becd method table directly:
-               bec client [--remote H:P] <method> [targets...] [options]
-             Methods: version stats metrics shutdown counts intern
-             analyze campaign campaign/run schedule harden report,
-             trace/dump [trace-id], log/level [level].
-             Against a gateway also: gateway/backends,
-             gateway/drain H:P, gateway/undrain H:P.
-  stats      Print this process's observability metrics, or — with
-             --remote H:P — a live becd server's counters, per-method
-             latency percentiles, cache hit rates and gauges.
-  version    Print the API version and build type (also: --version).
-
-Target selection (default: all bundled workloads):
-  --workload NAME   Add one bundled workload (case-insensitive; repeatable).
-  --asm FILE        Add an external assembly file in the bec dialect.
-  --all             Add every bundled workload.
-  --list-workloads  Print the bundled workload names and exit.
-
-Options:
-  --jobs N          Evaluate independent targets on N pool threads
-                    (default 1; 0 = hardware concurrency).
-  --plan KIND       campaign plan: exhaustive | value | bit (default bit).
-  --sample N        campaign: execute a stratified sample of N runs of
-                    the planned fault space and report 95% confidence
-                    intervals on the effect rates (0 = run everything;
-                    default 0).
-  --seed S          campaign: PRNG seed of --sample (default 1; same
-                    plan + same seed = same sample).
-                    fuzz: the corpus seed — same seed + same options =
-                    byte-identical corpus and report.
-  --threads N       campaign: worker threads of the sharded injection
-                    engine, per target (default 1; 0 = hardware
-                    concurrency). Never changes the report.
-                    fuzz: oracle workers, same guarantee.
-  --shard-size N    campaign: runs per engine shard (default: picked
-                    from the plan size). Checkpoints record it.
-  --prefix-checkpoint[=K|=off]
-                    campaign: fork runs from periodic golden snapshots
-                    and splice reconverged suffixes (default: on, period
-                    auto-tuned; =K snapshots every K cycles; =off
-                    replays every suffix). Never changes the report.
-  --checkpoint FILE campaign: stream per-shard result batches to FILE
-                    (JSONL) so an interrupted campaign can be resumed.
-                    Requires exactly one selected target; local only.
-                    fuzz: per-program result records, same conventions.
-  --resume          campaign: load completed shards from --checkpoint
-                    and execute only the remainder. The final report is
-                    byte-identical to an uninterrupted run.
-                    fuzz: skip programs the checkpoint already settled.
-  --progress        campaign: print shard progress to stderr while the
-                    engine runs (works with --remote via the streaming
-                    campaign/run method).
-                    fuzz: print per-program progress to stderr.
-  --count N         fuzz: number of generated programs (default 100).
-  --bank DIR        fuzz: write minimized reproducers of mismatching
-                    programs into DIR as repro_<seed>.s files.
-  --emit-corpus DIR fuzz: write the selected corpus into DIR as
-                    seed_<seed>.s files and exit without running any
-                    oracle (regenerates tests/corpus/).
-  --policy KIND     schedule policy for --emit: best | worst | source
-                    (default best).
-  --emit FILE       schedule: write the scheduled program of the single
-                    selected target to FILE as assembly.
-                    harden: write the hardened program instead.
-  --budget P        harden: max extra dynamic instructions in percent
-                    of the baseline run (default 10).
-                    fuzz: cap on the cumulative exhaustive fault-space
-                    size of the corpus; programs are kept in index
-                    order until the budget is spent (0 = unlimited;
-                    the CI smoke job bounds its cost this way).
-  --sweep A,B,..    harden only: evaluate several budgets per target and
-                    print the full cost-vs-vulnerability table.
-  --format KIND     output format of any subcommand: text | json
-                    (default text).
-  --max-cycles N    Truncate campaign/validation windows to N cycles
-                    (0 = whole trace; default 0). fuzz: the oracle
-                    injection window (0 keeps the default of 48).
-  --remote H:P      Run this subcommand on a becd server instead of
-                    in-process (output is byte-identical). Also selects
-                    the server for `bec client` and `bec stats`
-                    (default 127.0.0.1:4690).
-  --trace-out FILE  Write a Chrome trace_event JSON file covering this
-                    invocation (load in Perfetto or chrome://tracing):
-                    session query evaluation, engine workers (runs,
-                    steals, snapshot rebuilds, idle time), serve request
-                    handling, fuzz oracle stages. Combined with --remote
-                    (or `bec client`) the request carries a distributed
-                    trace context; the servers' spans are collected via
-                    trace/dump and stitched into the same file, so one
-                    timeline shows client -> gateway -> backend
-                    (failover retries included). Valid with every
-                    subcommand; never changes the printed output.
-  --profile FILE    campaign: write the engine scaling profile to FILE
-                    as JSON — per-worker wall-time split into run /
-                    snapshot-rebuild / steal / idle phases, per-shard
-                    records, and a machine-readable bottleneck
-                    diagnosis. Requires exactly one selected target;
-                    local only (profiles this process's engine). Never
-                    changes the report.
-  --watch SEC       stats: re-print every SEC seconds until interrupted.
-                    With --remote, iterations after the first print
-                    per-interval deltas (req/s, errors/s, window cache
-                    hit rate) instead of repeating cumulative totals.
-  --metrics         stats: print the raw Prometheus text exposition
-                    instead of the human table (the scrape format the
-                    becd `metrics` method returns).
-  --host ADDR       serve/gateway: bind address (default 127.0.0.1).
-  --port N          serve/gateway: TCP port; 0 picks an ephemeral port
-                    (default 4690).
-  --port-file FILE  serve/gateway: write the bound port to FILE once
-                    listening (for scripts using --port 0).
-  --queue-depth N   serve: admitted requests that may wait for a worker
-                    before the next is answered with error 105
-                    `overloaded` (default 256).
-  --backends LIST   gateway only (required): comma-separated becd
-                    backends, host:port each.
-  --health-interval SEC
-                    gateway: seconds between per-backend `version`
-                    health probes (default 2).
-  --log-level LVL   serve/gateway: structured-log verbosity, one of
-                    debug | info | warn | error | off (default off —
-                    logging is disabled unless this is given). The
-                    running daemon's level can be changed later with
-                    the log/level method.
-  --log-file FILE   serve/gateway: append log lines to FILE instead of
-                    stderr.
-  --log-format KIND serve/gateway: log line shape, jsonl (default) or
-                    logfmt.
-  -h, --help        Print this help and exit.
-
-Exit codes: 0 success, 1 usage error, 2 bad input, 3 unsound validation.
-)";
-
+/// What to run. Help, ListWorkloads and Version print and exit before
+/// any subcommand work (and before --trace-out starts tracing).
 enum class Command { Analyze, Campaign, Schedule, Harden, Report, Fuzz,
-                     Serve, Gateway, Client, Stats };
+                     Serve, Gateway, Client, Stats, Version, Help,
+                     ListWorkloads };
 enum class OutputFormat { Text, Json };
 
 struct DriverOptions {
@@ -227,68 +75,149 @@ struct DriverOptions {
   std::vector<std::string> WorkloadNames;
   std::vector<std::string> AsmFiles;
   bool AllWorkloads = false;
-  unsigned Jobs = 1;
-  bool JobsExplicit = false;
+  /// Unset: 1 for target pools, one per core for serve, 8 for gateway.
+  std::optional<unsigned> Jobs;
   PlanKind Plan = PlanKind::BitLevel;
   /// campaign: sampling, engine parallelism, checkpointing, progress.
   uint64_t SampleSize = 0;
   uint64_t SampleSeed = 1;
-  unsigned CampaignThreads = 1;
-  bool CampaignThreadsExplicit = false;
+  /// Unset: 1 thread, and not forwarded to a server.
+  std::optional<unsigned> CampaignThreads;
   uint64_t ShardSize = 0;
   bool PrefixCheckpoint = true;
   uint64_t CheckpointEveryK = 0;
-  bool PrefixCheckpointExplicit = false;
   std::string CheckpointPath;
   bool Resume = false;
   bool Progress = false;
-  bool SeedExplicit = false;
   SchedulePolicy EmitPolicy = SchedulePolicy::BestReliability;
   std::string EmitPath;
   uint64_t MaxCycles = 0;
   /// harden: budgets to evaluate (one entry unless --sweep is given).
   std::vector<double> Budgets = {10.0};
-  /// fuzz: corpus size, exhaustive-run budget, reproducer bank,
-  /// corpus-emission directory.
   uint64_t FuzzCount = 100;
   uint64_t FuzzBudget = 0;
   std::string BankDir;
   std::string EmitCorpusDir;
-  bool FuzzFlagsUsed = false;
   OutputFormat Format = OutputFormat::Text;
-  /// --remote: offload to a becd server.
   bool Remote = false;
   std::string RemoteHost = "127.0.0.1";
   uint16_t RemotePort = serve::DefaultPort;
-  /// serve/gateway options (--host/--port/--port-file are shared; the
-  /// queue depth is serve-only, the backend list and health cadence
-  /// gateway-only).
+  /// serve/gateway: listener, admission queue, backends, health cadence.
   std::string ServeHost = "127.0.0.1";
   uint16_t ServePort = serve::DefaultPort;
   std::string PortFile;
-  bool ServeFlagsUsed = false;
   size_t QueueDepth = 256;
-  bool QueueDepthExplicit = false;
   std::vector<std::string> GatewayBackends;
-  unsigned HealthIntervalMs = 2000;
-  bool GatewayFlagsUsed = false;
-  /// serve/gateway structured logging (--log-level/--log-file/
-  /// --log-format). Level Off keeps the logger disabled.
+  unsigned HealthIntervalSec = 2;
+  /// serve/gateway structured logging. Level Off keeps the logger
+  /// disabled.
   obs::LogLevel LogLevel = obs::LogLevel::Off;
   obs::LogFormat LogFmt = obs::LogFormat::Jsonl;
   std::string LogFilePath;
-  bool LogFlagsUsed = false;
   /// client: method name followed by its positional arguments.
   std::vector<std::string> ClientArgs;
-  /// --trace-out: write a Chrome trace of this invocation to FILE.
   std::string TraceOutPath;
-  /// campaign --profile: write the engine scaling profile to FILE.
   std::string ProfilePath;
-  /// stats options.
   uint64_t WatchSeconds = 0;
   bool StatsMetrics = false;
-  bool StatsFlagsUsed = false;
 };
+
+using CommandSet = uint32_t;
+
+template <class... Cs> constexpr CommandSet of(Cs... C) {
+  return ((CommandSet(1) << unsigned(C)) | ...);
+}
+
+constexpr CommandSet Targeted =
+    of(Command::Analyze, Command::Campaign, Command::Schedule, Command::Harden,
+       Command::Report);
+constexpr CommandSet Daemons = of(Command::Serve, Command::Gateway);
+constexpr CommandSet AnyCommand = ~CommandSet(0);
+
+struct Subcommand {
+  const char *Name;
+  Command Cmd;
+  /// The becd method it mirrors (`client` and --remote); "" if none.
+  const char *Method;
+  /// --help text; lines after the first indent to column 13.
+  const char *Blurb;
+};
+
+const Subcommand Subcommands[] = {
+    {"analyze", Command::Analyze, "analyze",
+     "Static fault-space metrics per target (Table III shape)."},
+    {"campaign", Command::Campaign, "campaign",
+     "Plan and execute a fault-injection campaign per target."},
+    {"schedule", Command::Schedule, "schedule",
+     "Vulnerability-aware list scheduling; vulnerability per policy."},
+    {"harden", Command::Harden, "harden",
+     "BEC-guided selective hardening under a dynamic-instruction\n"
+     "budget; per target the reached cost/vulnerability Pareto\n"
+     "point plus closed-loop validation. Exits 3 if any hardened\n"
+     "program fails validation."},
+    {"report", Command::Report, "report",
+     "Full pipeline: metrics + bit-level campaign + soundness\n"
+     "validation. Exits 3 if any target validates unsound."},
+    {"fuzz", Command::Fuzz, "",
+     "Differential soundness fuzzing: generate a seeded corpus of\n"
+     "verifier-legal programs and cross-check the BEC-pruned\n"
+     "campaign against exhaustive injection, plus print/parse\n"
+     "round-trip, fate-validation, engine-determinism, harden and\n"
+     "session oracles. Mismatching programs are delta-debugged to\n"
+     "1-minimal reproducers. Takes no targets; local only.\n"
+     "Exits 3 on any mismatch."},
+    {"serve", Command::Serve, "",
+     "Run the becd analysis server: a shared, cached session pool\n"
+     "behind a newline-delimited JSON-RPC protocol over TCP,\n"
+     "served by a poll() event loop with a bounded worker pool\n"
+     "(connections decoupled from threads, pipelining, typed\n"
+     "overload errors)."},
+    {"gateway", Command::Gateway, "",
+     "Front N becd backends behind one becd-indistinguishable\n"
+     "endpoint: requests route by consistent hashing of their\n"
+     "program name, so each backend's session cache holds a\n"
+     "stable shard of the program space. Health-checks, drains\n"
+     "(gateway/drain) and fails over between backends; `stats\n"
+     "--remote` through it aggregates every backend."},
+    {"client", Command::Client, "",
+     "Speak the becd method table directly:\n"
+     "  bec client [--remote H:P] <method> [targets...] [options]\n"
+     "Methods: version stats metrics shutdown counts intern\n"
+     "analyze campaign campaign/run schedule harden report,\n"
+     "trace/dump [trace-id], log/level [level].\n"
+     "Against a gateway also: gateway/backends,\n"
+     "gateway/drain H:P, gateway/undrain H:P."},
+    {"stats", Command::Stats, "",
+     "Print this process's observability metrics, or — with\n"
+     "--remote H:P — a live becd server's counters, per-method\n"
+     "latency percentiles, cache hit rates and gauges."},
+    {"version", Command::Version, "",
+     "Print the API version and build type (also: --version)."},
+};
+
+const Subcommand &subcommand(Command C) {
+  for (const Subcommand &S : Subcommands)
+    if (S.Cmd == C)
+      return S;
+  return Subcommands[0]; // Unreachable: every runnable Command has a row.
+}
+
+const Subcommand *findSubcommand(std::string_view Name) {
+  for (const Subcommand &S : Subcommands)
+    if (Name == S.Name)
+      return &S;
+  return nullptr;
+}
+
+/// The subcommand whose pipeline a becd method runs; campaign/run is
+/// campaign's streaming form. Null for the other methods.
+const Subcommand *subcommandOfMethod(std::string_view Method) {
+  for (const Subcommand &S : Subcommands)
+    if (*S.Method && (Method == S.Method ||
+                      (S.Cmd == Command::Campaign && Method == "campaign/run")))
+      return &S;
+  return nullptr;
+}
 
 /// Parses "host:port" (the --remote spelling). False on bad input.
 bool parseHostPort(const std::string &S, std::string &Host, uint16_t &Port) {
@@ -304,13 +233,14 @@ bool parseHostPort(const std::string &S, std::string &Host, uint16_t &Port) {
   return true;
 }
 
-/// Parses a full-string unsigned decimal; nullopt on any trailing garbage.
+/// Parses a string of decimal digits; nullopt on anything else. A sign,
+/// a space or a value past 2^64-1 is rejected, never wrapped or
+/// saturated.
 std::optional<uint64_t> parseUnsigned(const std::string &S) {
-  if (S.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  uint64_t V = std::strtoull(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size())
+  uint64_t V = 0;
+  const char *End = S.data() + S.size();
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
     return std::nullopt;
   return V;
 }
@@ -327,513 +257,515 @@ std::optional<double> parseBudget(const std::string &S) {
   return V;
 }
 
-int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
-              std::ostream &Out, std::ostream &Err) {
-  if (Args.empty()) {
-    Err << UsageText;
-    return ExitUsage;
-  }
-  size_t I = 0;
-  std::string Sub = Args[I++];
-  if (Sub == "-h" || Sub == "--help") {
-    Out << UsageText;
-    return -1; // Sentinel: handled, exit 0.
-  }
-  if (Sub == "version" || Sub == "--version") {
-    Out << "bec " << BEC_API_VERSION_STRING << " (" << buildType()
-        << ", protocol " << serve::ProtocolVersion << ")\n";
-    return -1;
-  }
-  if (Sub == "analyze")
-    Opts.Cmd = Command::Analyze;
-  else if (Sub == "campaign")
-    Opts.Cmd = Command::Campaign;
-  else if (Sub == "schedule")
-    Opts.Cmd = Command::Schedule;
-  else if (Sub == "harden")
-    Opts.Cmd = Command::Harden;
-  else if (Sub == "report")
-    Opts.Cmd = Command::Report;
-  else if (Sub == "fuzz")
-    Opts.Cmd = Command::Fuzz;
-  else if (Sub == "serve")
-    Opts.Cmd = Command::Serve;
-  else if (Sub == "gateway")
-    Opts.Cmd = Command::Gateway;
-  else if (Sub == "client")
-    Opts.Cmd = Command::Client;
-  else if (Sub == "stats")
-    Opts.Cmd = Command::Stats;
-  else {
-    Err << "bec: unknown subcommand '" << Sub << "'\n" << UsageText;
-    return ExitUsage;
-  }
+/// "a,b,c" split at commas (a trailing comma adds no empty item).
+std::vector<std::string> commaList(const std::string &S) {
+  std::vector<std::string> Items;
+  std::string Item;
+  std::stringstream Stream(S);
+  while (std::getline(Stream, Item, ','))
+    Items.push_back(Item);
+  return Items;
+}
 
-  // Both `--flag value` and `--flag=value` are accepted: InlineValue
-  // holds the part after '=' until the flag's branch consumes it.
-  std::optional<std::string> InlineValue;
-  auto Value = [&](const std::string &Flag) -> std::optional<std::string> {
-    if (InlineValue) {
-      std::string V = std::move(*InlineValue);
-      InlineValue.reset();
-      return V;
-    }
-    if (I >= Args.size()) {
-      Err << "bec: " << Flag << " requires a value\n";
-      return std::nullopt;
-    }
-    return Args[I++];
+/// Stores a flag's value into the options. Returns what the flag wants
+/// when \p Value is bad, or "" on success. A valueless flag, and an
+/// optional value left out, arrive as "".
+using Store = std::function<std::string(DriverOptions &Opts,
+                                        const std::string &Value)>;
+
+struct Flag {
+  const char *Name;
+  /// The value's --help label. It also sets the value kind: "" takes
+  /// none, "[=...]" an optional `=value`, anything else a required
+  /// `--flag v` or `--flag=v`.
+  const char *Metavar;
+  /// The subcommands that read the flag; anywhere else it is rejected.
+  CommandSet Commands;
+  /// The `bec client` methods that read it, by the subcommand each
+  /// method mirrors (Client in Commands admits every method).
+  CommandSet ClientReaders;
+  Store Apply;
+  /// --help text; lines after the first indent to column 20.
+  const char *Help;
+  /// Names local state: rejected together with --remote.
+  bool LocalOnly = false;
+  /// One-dash alias.
+  const char *Short = nullptr;
+  /// Heading of the --help section this row opens.
+  const char *Heading = nullptr;
+
+  bool takesValue() const { return *Metavar; }
+  bool optionalValue() const { return Metavar[0] == '['; }
+};
+
+/// Sets a switch, stores a string, or appends to a list of strings.
+template <class T> Store field(T DriverOptions::*Field) {
+  return [Field](DriverOptions &O, const std::string &V) {
+    if constexpr (std::is_same_v<T, bool>)
+      O.*Field = true;
+    else if constexpr (std::is_same_v<T, std::string>)
+      O.*Field = V;
+    else
+      (O.*Field).push_back(V);
+    return std::string();
   };
+}
 
-  while (I < Args.size()) {
-    std::string Arg = Args[I++];
-    InlineValue.reset();
+Store switchTo(Command C) {
+  return [C](DriverOptions &O, const std::string &) {
+    O.Cmd = C;
+    return std::string();
+  };
+}
+
+/// An unsigned decimal in [Lo, Hi], bounded so that it fits the field.
+template <class T>
+Store number(T DriverOptions::*Field, uint64_t Lo = 0,
+             uint64_t Hi = UINT64_MAX) {
+  return [=](DriverOptions &O, const std::string &V) -> std::string {
+    std::optional<uint64_t> N = parseUnsigned(V);
+    if (N && *N >= Lo && *N <= Hi) {
+      O.*Field = *N;
+      return "";
+    }
+    if (Hi != UINT64_MAX)
+      return "a number in " + std::to_string(Lo) + ".." + std::to_string(Hi);
+    return Lo ? "a positive number" : "a number";
+  };
+}
+
+/// One of the named choices, case-insensitively.
+template <class T>
+Store choice(T DriverOptions::*Field,
+             std::vector<std::pair<const char *, T>> Choices) {
+  return [=](DriverOptions &O, const std::string &V) -> std::string {
+    std::string Want;
+    for (const auto &[Name, Value] : Choices) {
+      if (toLowerAscii(V) == Name) {
+        O.*Field = Value;
+        return "";
+      }
+      Want += Want.empty() ? Name : std::string(" | ") + Name;
+    }
+    return Want;
+  };
+}
+
+/// A value \p Parse accepts (it spells out \p Want).
+template <class T>
+Store parsed(T DriverOptions::*Field,
+             std::optional<T> (*Parse)(std::string_view), const char *Want) {
+  return [=](DriverOptions &O, const std::string &V) -> std::string {
+    std::optional<T> P = Parse(V);
+    if (!P)
+      return Want;
+    O.*Field = *P;
+    return "";
+  };
+}
+
+std::string storeBudget(DriverOptions &O, const std::string &V) {
+  // One spelling, two meanings: harden's percentage, fuzz's run count.
+  if (O.Cmd == Command::Fuzz) {
+    std::optional<uint64_t> N = parseUnsigned(V);
+    if (!N)
+      return "a number of exhaustive runs";
+    O.FuzzBudget = *N;
+    return "";
+  }
+  std::optional<double> B = parseBudget(V);
+  if (!B)
+    return "a non-negative number";
+  O.Budgets = {*B};
+  return "";
+}
+
+std::string storeSweep(DriverOptions &O, const std::string &V) {
+  O.Budgets.clear();
+  for (const std::string &Item : commaList(V)) {
+    std::optional<double> B = parseBudget(Item);
+    if (!B)
+      return "comma-separated budgets";
+    O.Budgets.push_back(*B);
+  }
+  return O.Budgets.empty() ? "comma-separated budgets" : "";
+}
+
+std::string storePrefixCheckpoint(DriverOptions &O, const std::string &V) {
+  O.PrefixCheckpoint = true;
+  O.CheckpointEveryK = 0;
+  if (V.empty())
+    return ""; // Bare: on, with the auto-tuned period.
+  if (toLowerAscii(V) == "off") {
+    O.PrefixCheckpoint = false;
+    return "";
+  }
+  std::optional<uint64_t> N = parseUnsigned(V);
+  if (!N || *N == 0)
+    return "'off' or a positive cycle period";
+  O.CheckpointEveryK = *N;
+  return "";
+}
+
+std::string storeRemote(DriverOptions &O, const std::string &V) {
+  if (!parseHostPort(V, O.RemoteHost, O.RemotePort))
+    return "host:port";
+  O.Remote = true;
+  return "";
+}
+
+std::string storeBackends(DriverOptions &O, const std::string &V) {
+  for (const std::string &Item : commaList(V)) {
+    std::string Host;
+    uint16_t Port = 0;
+    if (!parseHostPort(Item, Host, Port))
+      return "comma-separated host:port entries";
+    O.GatewayBackends.push_back(Item);
+  }
+  return O.GatewayBackends.empty() ? "comma-separated host:port entries" : "";
+}
+
+/// The flag table, in --help order.
+const std::vector<Flag> &flags() {
+  using C = Command;
+  using D = DriverOptions;
+  static const std::vector<Flag> Table = {
+      {"--workload", "NAME", Targeted, 0, field(&D::WorkloadNames),
+       "Add one bundled workload (case-insensitive; repeatable).", false,
+       nullptr, "Target selection (default: all bundled workloads):"},
+      {"--asm", "FILE", Targeted, 0, field(&D::AsmFiles),
+       "Add an external assembly file in the bec dialect."},
+      {"--all", "", Targeted, 0, field(&D::AllWorkloads),
+       "Add every bundled workload."},
+      {"--list-workloads", "", AnyCommand, 0, switchTo(C::ListWorkloads),
+       "Print the bundled workload names and exit."},
+      {"--jobs", "N", Targeted | Daemons, Targeted,
+       number(&D::Jobs, 0, 1u << 16),
+       "Evaluate independent targets on N pool threads\n"
+       "(default 1; 0 = hardware concurrency).",
+       false, nullptr, "Options:"},
+      {"--plan", "KIND", of(C::Campaign), of(C::Campaign),
+       choice<PlanKind>(&D::Plan, {{"exhaustive", PlanKind::Exhaustive},
+                                   {"value", PlanKind::ValueLevel},
+                                   {"bit", PlanKind::BitLevel}}),
+       "campaign plan: exhaustive | value | bit (default bit)."},
+      {"--sample", "N", of(C::Campaign), of(C::Campaign),
+       number(&D::SampleSize),
+       "campaign: execute a stratified sample of N runs of\n"
+       "the planned fault space and report 95% confidence\n"
+       "intervals on the effect rates (0 = run everything;\n"
+       "default 0)."},
+      {"--seed", "S", of(C::Campaign, C::Fuzz), of(C::Campaign),
+       number(&D::SampleSeed),
+       "campaign: PRNG seed of --sample (default 1; same\n"
+       "plan + same seed = same sample).\n"
+       "fuzz: the corpus seed — same seed + same options =\n"
+       "byte-identical corpus and report."},
+      {"--threads", "N", of(C::Campaign, C::Fuzz), of(C::Campaign),
+       number(&D::CampaignThreads, 0, 1u << 16),
+       "campaign: worker threads of the sharded injection\n"
+       "engine, per target (default 1; 0 = hardware\n"
+       "concurrency). Never changes the report.\n"
+       "fuzz: oracle workers, same guarantee."},
+      {"--shard-size", "N", of(C::Campaign), of(C::Campaign),
+       number(&D::ShardSize, 1),
+       "campaign: runs per engine shard (default: picked\n"
+       "from the plan size). Checkpoints record it."},
+      {"--prefix-checkpoint", "[=K|=off]", of(C::Campaign), 0,
+       storePrefixCheckpoint,
+       "campaign: fork runs from periodic golden snapshots\n"
+       "and splice reconverged suffixes (default: on, period\n"
+       "auto-tuned; =K snapshots every K cycles; =off\n"
+       "replays every suffix). Never changes the report.",
+       true},
+      {"--checkpoint", "FILE", of(C::Campaign, C::Fuzz), 0,
+       field(&D::CheckpointPath),
+       "campaign: stream per-shard result batches to FILE\n"
+       "(JSONL) so an interrupted campaign can be resumed.\n"
+       "Requires exactly one selected target; local only.\n"
+       "fuzz: per-program result records, same conventions.",
+       true},
+      {"--resume", "", of(C::Campaign, C::Fuzz), 0, field(&D::Resume),
+       "campaign: load completed shards from --checkpoint\n"
+       "and execute only the remainder. The final report is\n"
+       "byte-identical to an uninterrupted run.\n"
+       "fuzz: skip programs the checkpoint already settled.",
+       true},
+      {"--progress", "", of(C::Campaign, C::Fuzz), of(C::Campaign),
+       field(&D::Progress),
+       "campaign: print shard progress to stderr while the\n"
+       "engine runs (works with --remote via the streaming\n"
+       "campaign/run method).\n"
+       "fuzz: print per-program progress to stderr."},
+      {"--count", "N", of(C::Fuzz), 0, number(&D::FuzzCount, 1),
+       "fuzz: number of generated programs (default 100)."},
+      {"--bank", "DIR", of(C::Fuzz), 0, field(&D::BankDir),
+       "fuzz: write minimized reproducers of mismatching\n"
+       "programs into DIR as repro_<seed>.s files."},
+      {"--emit-corpus", "DIR", of(C::Fuzz), 0, field(&D::EmitCorpusDir),
+       "fuzz: write the selected corpus into DIR as\n"
+       "seed_<seed>.s files and exit without running any\n"
+       "oracle (regenerates tests/corpus/)."},
+      {"--policy", "KIND", of(C::Schedule), 0,
+       choice<SchedulePolicy>(&D::EmitPolicy,
+                              {{"best", SchedulePolicy::BestReliability},
+                               {"worst", SchedulePolicy::WorstReliability},
+                               {"source", SchedulePolicy::SourceOrder}}),
+       "schedule policy for --emit: best | worst | source\n"
+       "(default best)."},
+      {"--emit", "FILE", of(C::Schedule, C::Harden), 0, field(&D::EmitPath),
+       "schedule: write the scheduled program of the single\n"
+       "selected target to FILE as assembly.\n"
+       "harden: write the hardened program instead."},
+      {"--budget", "P", of(C::Harden, C::Fuzz), of(C::Harden), storeBudget,
+       "harden: max extra dynamic instructions in percent\n"
+       "of the baseline run (default 10).\n"
+       "fuzz: cap on the cumulative exhaustive fault-space\n"
+       "size of the corpus; programs are kept in index\n"
+       "order until the budget is spent (0 = unlimited;\n"
+       "the CI smoke job bounds its cost this way)."},
+      {"--sweep", "A,B,..", of(C::Harden), of(C::Harden), storeSweep,
+       "harden only: evaluate several budgets per target and\n"
+       "print the full cost-vs-vulnerability table."},
+      {"--format", "KIND", Targeted | of(C::Fuzz), Targeted,
+       choice<OutputFormat>(&D::Format, {{"text", OutputFormat::Text},
+                                         {"json", OutputFormat::Json}}),
+       "output format of any subcommand: text | json\n"
+       "(default text)."},
+      {"--max-cycles", "N", of(C::Campaign, C::Report, C::Fuzz),
+       of(C::Campaign, C::Report), number(&D::MaxCycles),
+       "Truncate campaign/validation windows to N cycles\n"
+       "(0 = whole trace; default 0). fuzz: the oracle\n"
+       "injection window (0 keeps the default of 48)."},
+      {"--remote", "H:P", Targeted | of(C::Client, C::Stats), 0, storeRemote,
+       "Run this subcommand on a becd server instead of\n"
+       "in-process (output is byte-identical). Also selects\n"
+       "the server for `bec client` and `bec stats`\n"
+       "(default 127.0.0.1:4690)."},
+      {"--trace-out", "FILE", AnyCommand, 0, field(&D::TraceOutPath),
+       "Write a Chrome trace_event JSON file covering this\n"
+       "invocation (load in Perfetto or chrome://tracing):\n"
+       "session query evaluation, engine workers (runs,\n"
+       "steals, snapshot rebuilds, idle time), serve request\n"
+       "handling, fuzz oracle stages. Combined with --remote\n"
+       "(or `bec client`) the request carries a distributed\n"
+       "trace context; the servers' spans are collected via\n"
+       "trace/dump and stitched into the same file, so one\n"
+       "timeline shows client -> gateway -> backend\n"
+       "(failover retries included). Valid with every\n"
+       "subcommand; never changes the printed output."},
+      {"--profile", "FILE", of(C::Campaign), 0, field(&D::ProfilePath),
+       "campaign: write the engine scaling profile to FILE\n"
+       "as JSON — per-worker wall-time split into run /\n"
+       "snapshot-rebuild / steal / idle phases, per-shard\n"
+       "records, and a machine-readable bottleneck\n"
+       "diagnosis. Requires exactly one selected target;\n"
+       "local only (profiles this process's engine). Never\n"
+       "changes the report.",
+       true},
+      {"--watch", "SEC", of(C::Stats), 0, number(&D::WatchSeconds, 1, 86400),
+       "stats: re-print every SEC seconds until interrupted.\n"
+       "With --remote, iterations after the first print\n"
+       "per-interval deltas (req/s, errors/s, window cache\n"
+       "hit rate) instead of repeating cumulative totals."},
+      {"--metrics", "", of(C::Stats), 0, field(&D::StatsMetrics),
+       "stats: print the raw Prometheus text exposition\n"
+       "instead of the human table (the scrape format the\n"
+       "becd `metrics` method returns)."},
+      {"--host", "ADDR", Daemons, 0, field(&D::ServeHost),
+       "serve/gateway: bind address (default 127.0.0.1)."},
+      {"--port", "N", Daemons, 0, number(&D::ServePort, 0, 65535),
+       "serve/gateway: TCP port; 0 picks an ephemeral port\n"
+       "(default 4690)."},
+      {"--port-file", "FILE", Daemons, 0, field(&D::PortFile),
+       "serve/gateway: write the bound port to FILE once\n"
+       "listening (for scripts using --port 0)."},
+      {"--queue-depth", "N", of(C::Serve), 0,
+       number(&D::QueueDepth, 0, 1u << 20),
+       "serve: admitted requests that may wait for a worker\n"
+       "before the next is answered with error 105\n"
+       "`overloaded` (default 256)."},
+      {"--backends", "LIST", of(C::Gateway), 0, storeBackends,
+       "gateway only (required): comma-separated becd\n"
+       "backends, host:port each."},
+      {"--health-interval", "SEC", of(C::Gateway), 0,
+       number(&D::HealthIntervalSec, 1, 3600),
+       "gateway: seconds between per-backend `version`\n"
+       "health probes (default 2)."},
+      {"--log-level", "LVL", Daemons, 0,
+       parsed(&D::LogLevel, obs::parseLogLevel,
+              "debug | info | warn | error | off"),
+       "serve/gateway: structured-log verbosity, one of\n"
+       "debug | info | warn | error | off (default off —\n"
+       "logging is disabled unless this is given). The\n"
+       "running daemon's level can be changed later with\n"
+       "the log/level method."},
+      {"--log-file", "FILE", Daemons, 0, field(&D::LogFilePath),
+       "serve/gateway: append log lines to FILE instead of\n"
+       "stderr."},
+      {"--log-format", "KIND", Daemons, 0,
+       parsed(&D::LogFmt, obs::parseLogFormat, "jsonl | logfmt"),
+       "serve/gateway: log line shape, jsonl (default) or\n"
+       "logfmt."},
+      {"--help", "", AnyCommand, 0, switchTo(C::Help),
+       "Print this help and exit.", false, "-h"},
+  };
+  return Table;
+}
+
+const Flag *findFlag(std::string_view Arg) {
+  for (const Flag &F : flags())
+    if (Arg == F.Name || (F.Short && Arg == F.Short))
+      return &F;
+  return nullptr;
+}
+
+/// Writes \p Text, indenting every line after the first by \p Indent.
+void writeIndented(std::ostream &OS, std::string_view Text, size_t Indent) {
+  for (size_t Pos = 0;;) {
+    size_t Eol = Text.find('\n', Pos);
+    OS << Text.substr(Pos, Eol - Pos) << "\n";
+    if (Eol == std::string_view::npos)
+      return;
+    OS << std::string(Indent, ' ');
+    Pos = Eol + 1;
+  }
+}
+
+void printUsage(std::ostream &OS) {
+  OS << "usage: bec <subcommand> [options]\n\nSubcommands:\n";
+  for (const Subcommand &S : Subcommands) {
+    OS << "  " << S.Name << std::string(11 - std::strlen(S.Name), ' ');
+    writeIndented(OS, S.Blurb, 13);
+  }
+  for (const Flag &F : flags()) {
+    if (F.Heading)
+      OS << "\n" << F.Heading << "\n";
+    std::string Label = F.Short ? std::string(F.Short) + ", " : "";
+    Label += F.Name;
+    if (F.takesValue())
+      Label += (F.optionalValue() ? "" : " ") + std::string(F.Metavar);
+    // Labels too wide for the 18-column gutter put the text on the next
+    // line.
+    OS << "  " << Label
+       << (Label.size() < 18 ? std::string(18 - Label.size(), ' ')
+                             : "\n" + std::string(20, ' '));
+    writeIndented(OS, F.Help, 20);
+  }
+  OS << "\nExit codes: 0 success, 1 usage error, 2 bad input, 3 unsound "
+        "validation.\n";
+}
+
+/// "campaign, fuzz (or client campaign)": where \p F is valid.
+std::string readersOf(const Flag &F) {
+  std::string Commands, Methods;
+  for (const Subcommand &S : Subcommands) {
+    if (F.Commands & of(S.Cmd))
+      Commands += (Commands.empty() ? "" : ", ") + std::string(S.Name);
+    if (F.ClientReaders & of(S.Cmd))
+      Methods += (Methods.empty() ? "" : ", ") + std::string(S.Method);
+  }
+  return Methods.empty() ? Commands
+                         : Commands + " (or client " + Methods + ")";
+}
+
+int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
+              std::ostream &Err) {
+  if (Args.empty()) {
+    printUsage(Err);
+    return ExitUsage;
+  }
+  const std::string &Sub = Args[0];
+  if (Sub == "-h" || Sub == "--help") {
+    Opts.Cmd = Command::Help;
+    return ExitSuccess;
+  }
+  const Subcommand *S = findSubcommand(Sub == "--version" ? "version" : Sub);
+  if (!S) {
+    Err << "bec: unknown subcommand '" << Sub << "'\n";
+    printUsage(Err);
+    return ExitUsage;
+  }
+  Opts.Cmd = S->Cmd;
+  if (Opts.Cmd == Command::Version)
+    return ExitSuccess; // Whatever follows.
+
+  std::vector<const Flag *> Seen;
+  for (size_t I = 1; I < Args.size(); ++I) {
+    std::string Arg = Args[I];
+    std::optional<std::string> Inline;
     if (Arg.size() > 2 && Arg[0] == '-' && Arg[1] == '-') {
       size_t Eq = Arg.find('=');
       if (Eq != std::string::npos) {
-        InlineValue = Arg.substr(Eq + 1);
+        Inline = Arg.substr(Eq + 1);
         Arg.resize(Eq);
       }
     }
-    if (Arg == "-h" || Arg == "--help") {
-      Out << UsageText;
-      return -1;
-    } else if (Arg == "--workload") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.WorkloadNames.push_back(*V);
-    } else if (Arg == "--asm") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.AsmFiles.push_back(*V);
-    } else if (Arg == "--all") {
-      Opts.AllWorkloads = true;
-    } else if (Arg == "--list-workloads") {
-      for (const Workload &W : allWorkloads())
-        Out << W.Name << "\n";
-      return -1;
-    } else if (Arg == "--jobs") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --jobs wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      // Kept unclamped: CPU pools clamp to the core count at use sites,
-      // while `serve` sizes an I/O-bound connection pool from it.
-      Opts.Jobs = static_cast<unsigned>(*N);
-      Opts.JobsExplicit = true;
-    } else if (Arg == "--max-cycles") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --max-cycles wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.MaxCycles = *N;
-    } else if (Arg == "--plan") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "exhaustive")
-        Opts.Plan = PlanKind::Exhaustive;
-      else if (K == "value")
-        Opts.Plan = PlanKind::ValueLevel;
-      else if (K == "bit")
-        Opts.Plan = PlanKind::BitLevel;
-      else {
-        Err << "bec: unknown --plan '" << *V
-            << "' (want exhaustive | value | bit)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--sample") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --sample wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.SampleSize = *N;
-    } else if (Arg == "--seed") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N) {
-        Err << "bec: --seed wants a number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.SampleSeed = *N;
-      Opts.SeedExplicit = true;
-    } else if (Arg == "--threads") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 1u << 16) {
-        Err << "bec: --threads wants a small number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.CampaignThreads = static_cast<unsigned>(*N);
-      Opts.CampaignThreadsExplicit = true;
-    } else if (Arg == "--shard-size") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        Err << "bec: --shard-size wants a positive number, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.ShardSize = *N;
-    } else if (Arg == "--prefix-checkpoint") {
-      // Value is optional: bare = on with the auto-tuned period.
-      Opts.PrefixCheckpoint = true;
-      Opts.CheckpointEveryK = 0;
-      Opts.PrefixCheckpointExplicit = true;
-      if (InlineValue) {
-        auto V = Value(Arg);
-        std::string K = toLowerAscii(*V);
-        if (K == "off") {
-          Opts.PrefixCheckpoint = false;
-        } else {
-          std::optional<uint64_t> N = parseUnsigned(*V);
-          if (!N || *N == 0) {
-            Err << "bec: --prefix-checkpoint wants 'off' or a positive "
-                   "cycle period, got '" << *V << "'\n";
-            return ExitUsage;
-          }
-          Opts.CheckpointEveryK = *N;
-        }
-      }
-    } else if (Arg == "--checkpoint") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.CheckpointPath = *V;
-    } else if (Arg == "--resume") {
-      Opts.Resume = true;
-    } else if (Arg == "--progress") {
-      Opts.Progress = true;
-    } else if (Arg == "--policy") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "best")
-        Opts.EmitPolicy = SchedulePolicy::BestReliability;
-      else if (K == "worst")
-        Opts.EmitPolicy = SchedulePolicy::WorstReliability;
-      else if (K == "source")
-        Opts.EmitPolicy = SchedulePolicy::SourceOrder;
-      else {
-        Err << "bec: unknown --policy '" << *V
-            << "' (want best | worst | source)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--emit") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.EmitPath = *V;
-    } else if (Arg == "--budget") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      // The subcommand is parsed before any flag, so --budget can mean
-      // two things: harden's percentage and fuzz's run count.
-      if (Opts.Cmd == Command::Fuzz) {
-        std::optional<uint64_t> N = parseUnsigned(*V);
-        if (!N) {
-          Err << "bec: fuzz --budget wants a number of exhaustive runs, "
-                 "got '" << *V << "'\n";
-          return ExitUsage;
-        }
-        Opts.FuzzBudget = *N;
-        Opts.FuzzFlagsUsed = true;
-      } else {
-        std::optional<double> B = parseBudget(*V);
-        if (!B) {
-          Err << "bec: --budget wants a non-negative number, got '" << *V
-              << "'\n";
-          return ExitUsage;
-        }
-        Opts.Budgets = {*B};
-      }
-    } else if (Arg == "--count") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0) {
-        Err << "bec: --count wants a positive number, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.FuzzCount = *N;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--bank") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.BankDir = *V;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--emit-corpus") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.EmitCorpusDir = *V;
-      Opts.FuzzFlagsUsed = true;
-    } else if (Arg == "--sweep") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.Budgets.clear();
-      std::string Item;
-      std::stringstream Stream(*V);
-      while (std::getline(Stream, Item, ',')) {
-        std::optional<double> B = parseBudget(Item);
-        if (!B) {
-          Err << "bec: --sweep wants comma-separated budgets, got '" << *V
-              << "'\n";
-          return ExitUsage;
-        }
-        Opts.Budgets.push_back(*B);
-      }
-      if (Opts.Budgets.empty()) {
-        Err << "bec: --sweep needs at least one budget\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--format") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string K = toLowerAscii(*V);
-      if (K == "text")
-        Opts.Format = OutputFormat::Text;
-      else if (K == "json")
-        Opts.Format = OutputFormat::Json;
-      else {
-        Err << "bec: unknown --format '" << *V << "' (want text | json)\n";
-        return ExitUsage;
-      }
-    } else if (Arg == "--remote") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      if (!parseHostPort(*V, Opts.RemoteHost, Opts.RemotePort)) {
-        Err << "bec: --remote wants host:port, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.Remote = true;
-    } else if (Arg == "--host") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.ServeHost = *V;
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--port") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 65535) {
-        Err << "bec: --port wants a number in 0..65535, got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.ServePort = static_cast<uint16_t>(*N);
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--port-file") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.PortFile = *V;
-      Opts.ServeFlagsUsed = true;
-    } else if (Arg == "--queue-depth") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N > 1u << 20) {
-        Err << "bec: --queue-depth wants a number in 0..1048576, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.QueueDepth = static_cast<size_t>(*N);
-      Opts.QueueDepthExplicit = true;
-    } else if (Arg == "--backends") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::string Item;
-      std::stringstream Stream(*V);
-      while (std::getline(Stream, Item, ',')) {
-        std::string H;
-        uint16_t P = 0;
-        if (!parseHostPort(Item, H, P)) {
-          Err << "bec: --backends wants comma-separated host:port entries, "
-                 "got '" << Item << "'\n";
-          return ExitUsage;
-        }
-        Opts.GatewayBackends.push_back(Item);
-      }
-      if (Opts.GatewayBackends.empty()) {
-        Err << "bec: --backends needs at least one host:port\n";
-        return ExitUsage;
-      }
-      Opts.GatewayFlagsUsed = true;
-    } else if (Arg == "--health-interval") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0 || *N > 3600) {
-        Err << "bec: --health-interval wants seconds in 1..3600, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.HealthIntervalMs = static_cast<unsigned>(*N * 1000);
-      Opts.GatewayFlagsUsed = true;
-    } else if (Arg == "--trace-out") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.TraceOutPath = *V;
-    } else if (Arg == "--profile") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.ProfilePath = *V;
-    } else if (Arg == "--log-level") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<obs::LogLevel> L = obs::parseLogLevel(*V);
-      if (!L) {
-        Err << "bec: --log-level wants debug | info | warn | error | off, "
-               "got '" << *V << "'\n";
-        return ExitUsage;
-      }
-      Opts.LogLevel = *L;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--log-file") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      Opts.LogFilePath = *V;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--log-format") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<obs::LogFormat> F = obs::parseLogFormat(*V);
-      if (!F) {
-        Err << "bec: --log-format wants jsonl or logfmt, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.LogFmt = *F;
-      Opts.LogFlagsUsed = true;
-    } else if (Arg == "--watch") {
-      auto V = Value(Arg);
-      if (!V)
-        return ExitUsage;
-      std::optional<uint64_t> N = parseUnsigned(*V);
-      if (!N || *N == 0 || *N > 86400) {
-        Err << "bec: --watch wants seconds in 1..86400, got '" << *V
-            << "'\n";
-        return ExitUsage;
-      }
-      Opts.WatchSeconds = *N;
-      Opts.StatsFlagsUsed = true;
-    } else if (Arg == "--metrics") {
-      Opts.StatsMetrics = true;
-      Opts.StatsFlagsUsed = true;
-    } else if (Opts.Cmd == Command::Client && !Arg.empty() && Arg[0] != '-') {
-      // Client grammar: the method, then its positional target names.
+    const Flag *F = findFlag(Arg);
+    if (!F && Opts.Cmd == Command::Client && !Arg.empty() && Arg[0] != '-') {
+      // Client grammar: the method, then its positional arguments.
       Opts.ClientArgs.push_back(Arg);
-    } else {
-      Err << "bec: unknown option '" << Arg << "'\n" << UsageText;
+      continue;
+    }
+    if (!F) {
+      Err << "bec: unknown option '" << Arg << "'\n";
+      printUsage(Err);
       return ExitUsage;
     }
-    if (InlineValue) {
-      // A flag that takes no value left the `=value` unconsumed.
+    std::string Value;
+    if (Inline && F->takesValue()) {
+      Value = *Inline;
+      if (Value.empty() && F->optionalValue()) {
+        Err << "bec: " << Arg << " wants a value after '='\n";
+        return ExitUsage;
+      }
+    } else if (F->takesValue() && !F->optionalValue()) {
+      if (I + 1 == Args.size()) {
+        Err << "bec: " << Arg << " requires a value\n";
+        return ExitUsage;
+      }
+      Value = Args[++I];
+    }
+    std::string Want = F->Apply(Opts, Value);
+    if (!Want.empty()) {
+      Err << "bec: " << Arg << " wants " << Want << ", got '" << Value
+          << "'\n";
+      return ExitUsage;
+    }
+    if (Opts.Cmd == Command::Help || Opts.Cmd == Command::ListWorkloads)
+      return ExitSuccess; // Acts at once, whatever follows.
+    if (Inline && !F->takesValue()) {
       Err << "bec: " << Arg << " takes no value\n";
       return ExitUsage;
     }
+    Seen.push_back(F);
   }
-  if (!Opts.EmitPath.empty() && Opts.Cmd != Command::Schedule &&
-      Opts.Cmd != Command::Harden) {
-    Err << "bec: --emit is only valid with schedule or harden\n";
-    return ExitUsage;
+
+  const Subcommand *Method = nullptr;
+  if (Opts.Cmd == Command::Client) {
+    if (Opts.ClientArgs.empty()) {
+      Err << "bec: client needs a method, e.g. `bec client analyze "
+             "bitcount`\n";
+      return ExitUsage;
+    }
+    Method = subcommandOfMethod(Opts.ClientArgs[0]);
   }
-  // Campaign-engine flags: --sample/--seed/--threads/--shard-size and
-  // --progress shape campaign execution (and are forwarded by `client`
-  // for campaign methods — silently ignoring them on other methods
-  // would run a different campaign than the user asked for); `fuzz`
-  // reuses the seed/threads/progress/checkpoint vocabulary with the
-  // same determinism contract.
-  bool ClientCampaign =
-      Opts.Cmd == Command::Client && !Opts.ClientArgs.empty() &&
-      (Opts.ClientArgs[0] == "campaign" ||
-       Opts.ClientArgs[0] == "campaign/run");
-  if ((Opts.SampleSize || Opts.ShardSize) &&
-      Opts.Cmd != Command::Campaign && !ClientCampaign) {
-    Err << "bec: --sample/--shard-size are only valid with campaign "
-           "(or client campaign methods)\n";
-    return ExitUsage;
+  for (const Flag *F : Seen) {
+    if (!(F->Commands & of(Opts.Cmd)) &&
+        !(Method && (F->ClientReaders & of(Method->Cmd)))) {
+      Err << "bec: " << F->Name << " is only valid with " << readersOf(*F)
+          << "\n";
+      return ExitUsage;
+    }
+    if (F->LocalOnly && Opts.Remote) {
+      Err << "bec: " << F->Name << " runs locally; drop --remote\n";
+      return ExitUsage;
+    }
   }
-  if (Opts.PrefixCheckpointExplicit && Opts.Cmd != Command::Campaign) {
-    Err << "bec: --prefix-checkpoint is only valid with campaign\n";
-    return ExitUsage;
-  }
-  if ((Opts.SeedExplicit || Opts.CampaignThreadsExplicit || Opts.Progress) &&
-      Opts.Cmd != Command::Campaign && Opts.Cmd != Command::Fuzz &&
-      !ClientCampaign) {
-    Err << "bec: --seed/--threads/--progress are only valid with campaign "
-           "or fuzz (or client campaign methods)\n";
-    return ExitUsage;
-  }
-  if ((!Opts.CheckpointPath.empty() || Opts.Resume) &&
-      Opts.Cmd != Command::Campaign && Opts.Cmd != Command::Fuzz) {
-    Err << "bec: --checkpoint/--resume are only valid with campaign or "
-           "fuzz\n";
-    return ExitUsage;
-  }
-  if (Opts.FuzzFlagsUsed && Opts.Cmd != Command::Fuzz) {
-    Err << "bec: --count/--bank/--emit-corpus are only valid with fuzz\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Fuzz &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // The fuzzer generates its own corpus from the seed; target flags
-    // would silently select nothing.
-    Err << "bec: fuzz generates its own programs and takes no "
-           "--workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Fuzz && Opts.Remote) {
-    Err << "bec: fuzz runs locally; drop --remote\n";
-    return ExitUsage;
-  }
+
+  // The rules that span flags.
   if (Opts.Resume && Opts.CheckpointPath.empty()) {
     Err << "bec: --resume requires --checkpoint FILE\n";
-    return ExitUsage;
-  }
-  if (!Opts.CheckpointPath.empty() && Opts.Remote) {
-    // The checkpoint would describe a campaign executing on the server;
-    // resuming it locally later would silently re-run everything.
-    Err << "bec: --checkpoint/--resume run locally; drop --remote\n";
     return ExitUsage;
   }
   if (Opts.Cmd == Command::Harden && !Opts.EmitPath.empty() &&
@@ -841,77 +773,8 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
     Err << "bec: harden --emit requires a single --budget\n";
     return ExitUsage;
   }
-  if ((Opts.Cmd == Command::Serve || Opts.Cmd == Command::Gateway) &&
-      Opts.Remote) {
-    Err << "bec: --remote does not combine with serve or gateway\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Serve && Opts.Cmd != Command::Gateway &&
-      Opts.ServeFlagsUsed) {
-    // Silently ignoring these would let `bec client shutdown --port N`
-    // address a different server than the user meant; --remote host:port
-    // is the client-side spelling.
-    Err << "bec: --host/--port/--port-file are only valid with serve or "
-           "gateway (clients use --remote host:port)\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Serve && Opts.QueueDepthExplicit) {
-    Err << "bec: --queue-depth is only valid with serve\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd != Command::Gateway && Opts.GatewayFlagsUsed) {
-    Err << "bec: --backends/--health-interval are only valid with gateway\n";
-    return ExitUsage;
-  }
-  if (Opts.LogFlagsUsed && Opts.Cmd != Command::Serve &&
-      Opts.Cmd != Command::Gateway) {
-    Err << "bec: --log-level/--log-file/--log-format are only valid with "
-           "serve or gateway\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && Opts.Cmd != Command::Campaign) {
-    Err << "bec: --profile is only valid with campaign\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && Opts.Remote) {
-    // The profile describes this process's engine workers; a remote
-    // campaign runs them in the server.
-    Err << "bec: --profile profiles the local engine; drop --remote\n";
-    return ExitUsage;
-  }
   if (Opts.Cmd == Command::Gateway && Opts.GatewayBackends.empty()) {
     Err << "bec: gateway requires --backends H:P[,H:P...]\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Gateway &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // The gateway forwards; its backends own the targets.
-    Err << "bec: gateway takes no --workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
-  if (Opts.StatsFlagsUsed && Opts.Cmd != Command::Stats) {
-    Err << "bec: --watch/--metrics are only valid with stats\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Stats &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // Stats describes a process (this one or a server), not targets.
-    Err << "bec: stats takes no --workload/--all/--asm targets\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Client && Opts.ClientArgs.empty()) {
-    Err << "bec: client needs a method, e.g. `bec client analyze bitcount`\n";
-    return ExitUsage;
-  }
-  if (Opts.Cmd == Command::Client &&
-      (Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-       !Opts.AsmFiles.empty())) {
-    // These select targets for local sessions; silently ignoring them
-    // would run the wrong scope on the server.
-    Err << "bec: client takes positional target names, not "
-           "--workload/--all/--asm\n";
     return ExitUsage;
   }
   return ExitSuccess;
@@ -921,16 +784,21 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
 // Target loading
 //===----------------------------------------------------------------------===//
 
-int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
-                   std::ostream &Err) {
-  // --all plus an explicit --workload (or a repeated name in any casing)
-  // would otherwise run and report the same target twice; skip names the
-  // session already has.
+/// The selected targets in report order, each once: canonical workload
+/// names (every workload under --all or when nothing is selected, then
+/// each --workload in any casing), then --asm paths. The first
+/// \p NumWorkloads are bundled workloads.
+int selectTargets(const DriverOptions &Opts, std::vector<std::string> &Targets,
+                  size_t &NumWorkloads, std::ostream &Err) {
+  auto Add = [&](const std::string &Name) {
+    if (std::find(Targets.begin(), Targets.end(), Name) == Targets.end())
+      Targets.push_back(Name);
+  };
   bool Selected = Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
                   !Opts.AsmFiles.empty();
   if (Opts.AllWorkloads || !Selected)
-    S.addAllWorkloads();
-
+    for (const Workload &W : allWorkloads())
+      Add(W.Name);
   for (const std::string &Name : Opts.WorkloadNames) {
     const Workload *W = findWorkloadAnyCase(Name);
     if (!W) {
@@ -938,19 +806,25 @@ int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
           << "'; --list-workloads prints the bundled names\n";
       return ExitBadInput;
     }
-    if (!S.findTarget(W->Name))
-      S.addProgram(W->Name, loadWorkload(*W));
+    Add(W->Name);
   }
+  NumWorkloads = Targets.size();
+  for (const std::string &Path : Opts.AsmFiles)
+    Add(Path);
+  return ExitSuccess;
+}
 
-  for (const std::string &Path : Opts.AsmFiles) {
-    if (S.findTarget(Path))
-      continue;
-    std::string Error;
-    if (!S.addAsmFile(Path, Error)) {
-      Err << "bec: " << Error << "\n";
-      return ExitBadInput;
+/// One emitted program, one checkpoint file and one profile document
+/// each describe a single target.
+int requireOneTarget(const DriverOptions &Opts, size_t NumTargets,
+                     std::ostream &Err) {
+  for (const auto &[Path, Flag] : {std::pair{&Opts.EmitPath, "--emit"},
+                                   {&Opts.CheckpointPath, "--checkpoint"},
+                                   {&Opts.ProfilePath, "--profile"}})
+    if (!Path->empty() && NumTargets != 1) {
+      Err << "bec: " << Flag << " requires exactly one selected target\n";
+      return ExitUsage;
     }
-  }
   return ExitSuccess;
 }
 
@@ -959,13 +833,6 @@ int collectTargets(const DriverOptions &Opts, AnalysisSession &S,
 //===----------------------------------------------------------------------===//
 
 template <class R> using ResultVec = std::vector<std::shared_ptr<const R>>;
-
-std::vector<std::string> targetNames(const AnalysisSession &S) {
-  std::vector<std::string> Names;
-  for (size_t I = 0; I < S.numTargets(); ++I)
-    Names.push_back(S.name(I));
-  return Names;
-}
 
 /// Reports per-target errors; ExitBadInput if any target failed.
 template <class R>
@@ -1125,7 +992,7 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
   FO.Seed = Opts.SampleSeed;
   FO.Count = Opts.FuzzCount;
   FO.Budget = Opts.FuzzBudget;
-  FO.Threads = ThreadPool::clampJobs(Opts.CampaignThreads);
+  FO.Threads = ThreadPool::clampJobs(Opts.CampaignThreads.value_or(1));
   FO.CheckpointPath = Opts.CheckpointPath;
   FO.Resume = Opts.Resume;
   FO.BankDir = Opts.BankDir;
@@ -1166,37 +1033,6 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
 // becd: serve, client, --remote
 //===----------------------------------------------------------------------===//
 
-const char *commandMethod(Command C) {
-  switch (C) {
-  case Command::Analyze:
-    return "analyze";
-  case Command::Campaign:
-    return "campaign";
-  case Command::Schedule:
-    return "schedule";
-  case Command::Harden:
-    return "harden";
-  case Command::Report:
-    return "report";
-  default:
-    return "";
-  }
-}
-
-std::optional<Command> subcommandForMethod(const std::string &M) {
-  if (M == "analyze")
-    return Command::Analyze;
-  if (M == "campaign" || M == "campaign/run")
-    return Command::Campaign;
-  if (M == "schedule")
-    return Command::Schedule;
-  if (M == "harden")
-    return Command::Harden;
-  if (M == "report")
-    return Command::Report;
-  return std::nullopt;
-}
-
 /// Serializes the params of one subcommand method from the parsed command
 /// line, for \p Targets (empty = the server's default, all workloads).
 std::string subcommandParams(Command Which, const DriverOptions &Opts,
@@ -1211,8 +1047,8 @@ std::string subcommandParams(Command Which, const DriverOptions &Opts,
     W.endArray();
   }
   W.key("format").value(Opts.Format == OutputFormat::Json ? "json" : "text");
-  if (Opts.Jobs != 1)
-    W.key("jobs").value(uint64_t(std::min(Opts.Jobs, 1u << 16)));
+  if (Opts.Jobs.value_or(1) != 1)
+    W.key("jobs").value(uint64_t(*Opts.Jobs));
   switch (Which) {
   case Command::Campaign:
     W.key("plan").value(Opts.Plan == PlanKind::Exhaustive    ? "exhaustive"
@@ -1223,15 +1059,10 @@ std::string subcommandParams(Command Which, const DriverOptions &Opts,
       W.key("sample").value(Opts.SampleSize);
       W.key("seed").value(Opts.SampleSeed);
     }
-    if (Opts.CampaignThreadsExplicit)
-      W.key("threads").value(uint64_t(Opts.CampaignThreads));
+    if (Opts.CampaignThreads)
+      W.key("threads").value(uint64_t(*Opts.CampaignThreads));
     if (Opts.ShardSize)
       W.key("shard_size").value(Opts.ShardSize);
-    if (Opts.PrefixCheckpointExplicit) {
-      W.key("prefix_checkpoint").value(Opts.PrefixCheckpoint);
-      if (Opts.CheckpointEveryK)
-        W.key("checkpoint_every_k").value(Opts.CheckpointEveryK);
-    }
     if (Opts.Progress)
       W.key("progress").value(true);
     break;
@@ -1287,35 +1118,6 @@ void reportReplyError(const serve::Reply &R, const std::string &AsmPath,
   Err << "bec: " << R.errorText() << "\n";
 }
 
-/// The canonical target list the local path would have produced: deduped
-/// workload canonical names, then external asm file paths.
-int remoteTargetList(const DriverOptions &Opts,
-                     std::vector<std::string> &Targets, std::ostream &Err) {
-  auto Add = [&](const std::string &Name) {
-    for (const std::string &T : Targets)
-      if (T == Name)
-        return;
-    Targets.push_back(Name);
-  };
-  bool Selected = Opts.AllWorkloads || !Opts.WorkloadNames.empty() ||
-                  !Opts.AsmFiles.empty();
-  if (Opts.AllWorkloads || !Selected)
-    for (const Workload &W : allWorkloads())
-      Add(W.Name);
-  for (const std::string &Name : Opts.WorkloadNames) {
-    const Workload *W = findWorkloadAnyCase(Name);
-    if (!W) {
-      Err << "bec: unknown workload '" << Name
-          << "'; --list-workloads prints the bundled names\n";
-      return ExitBadInput;
-    }
-    Add(W->Name);
-  }
-  for (const std::string &Path : Opts.AsmFiles)
-    Add(Path);
-  return ExitSuccess;
-}
-
 /// Reads \p Path into `intern` method params ({"name","asm"}); nullopt
 /// with a diagnostic when the file cannot be read.
 std::optional<std::string> internParamsForFile(const std::string &Path,
@@ -1333,20 +1135,6 @@ std::optional<std::string> internParamsForFile(const std::string &Path,
   P.key("asm").value(Buf.str());
   P.endObject();
   return P.take();
-}
-
-/// Pools \p Path on the server under its path name.
-int internAsmFile(serve::Client &C, const std::string &Path,
-                  std::ostream &Err) {
-  std::optional<std::string> Params = internParamsForFile(Path, Err);
-  if (!Params)
-    return ExitBadInput;
-  serve::Reply R = C.call("intern", *Params);
-  if (!R.Ok) {
-    reportReplyError(R, Path, Err);
-    return ExitBadInput;
-  }
-  return ExitSuccess;
 }
 
 /// Executes one already-parsed subcommand method reply: print output and
@@ -1396,21 +1184,6 @@ void printProgress(const JsonValue &P, std::ostream &Err) {
 // Distributed tracing (--trace-out with --remote / client)
 //===----------------------------------------------------------------------===//
 
-/// One span fetched from a server's trace/dump ring, tagged with the
-/// process label the dump gave it ("becd", "gateway", or a backend's
-/// host:port when the gateway merged its backends' rings).
-struct RemoteSpan {
-  std::string Process;
-  std::string Name;
-  std::string TraceId;
-  std::string SpanId;
-  std::string ParentSpan;
-  std::string ArgsJson; ///< Pre-rendered {"k":v,...}; empty = none.
-  uint64_t StartUs = 0; ///< Wall clock, epoch microseconds.
-  uint64_t DurUs = 0;
-  uint64_t Tid = 0;
-};
-
 /// Distributed-trace state of one invocation. Armed (non-empty TraceId)
 /// when --trace-out combines with a remote command: the remote runners
 /// inject the context into every request and collect the servers' spans
@@ -1419,7 +1192,10 @@ struct DistTrace {
   std::string TraceId;    ///< 32 hex chars; names the whole request tree.
   std::string RootSpanId; ///< The local root span, parent of every hop.
   uint64_t WallBaseUs = 0; ///< Wall clock at traceBegin (epoch us).
-  std::vector<RemoteSpan> Spans;
+  /// Spans from the servers' trace/dump rings, each tagged with the
+  /// process label the dump gave it ("becd", "gateway", or a backend's
+  /// host:port when the gateway merged its backends' rings).
+  std::vector<JsonValue> Spans;
 
   bool armed() const { return !TraceId.empty(); }
 };
@@ -1436,40 +1212,15 @@ uint64_t wallNowUs() {
 /// swallowed: a server without trace/dump still served the command, it
 /// just contributes no spans to the stitched file.
 void collectRemoteSpans(serve::Client &C, const std::string &TraceId,
-                        std::vector<RemoteSpan> &Out) {
+                        std::vector<JsonValue> &Out) {
   JsonWriter W;
   W.beginObject();
   W.key("trace_id").value(TraceId);
   W.endObject();
   serve::Reply R = C.call("trace/dump", W.take());
-  if (!R.Ok)
-    return;
-  const JsonValue *Spans = R.Result.member("spans");
-  const std::vector<JsonValue> *Arr = Spans ? Spans->asArray() : nullptr;
-  if (!Arr)
-    return;
-  for (const JsonValue &V : *Arr) {
-    auto Str = [&](const char *Key) {
-      const std::string *M = V.memberString(Key);
-      return M ? *M : std::string();
-    };
-    RemoteSpan S;
-    S.Name = Str("name");
-    S.TraceId = Str("trace_id");
-    S.SpanId = Str("span_id");
-    S.ParentSpan = Str("parent_span");
-    S.Process = Str("process");
-    S.StartUs = V.memberU64("start_us").value_or(0);
-    S.DurUs = V.memberU64("dur_us").value_or(0);
-    S.Tid = V.memberU64("tid").value_or(0);
-    if (const JsonValue *A = V.member("args"))
-      S.ArgsJson = A->toJson();
-    if (S.Name.empty() || S.SpanId.empty())
-      continue;
-    if (S.Process.empty())
-      S.Process = "server";
-    Out.push_back(std::move(S));
-  }
+  const JsonValue *Spans = R.Ok ? R.Result.member("spans") : nullptr;
+  if (const std::vector<JsonValue> *Arr = Spans ? Spans->asArray() : nullptr)
+    Out.insert(Out.end(), Arr->begin(), Arr->end());
 }
 
 /// Splices the collected remote spans into \p Doc (a rendered Chrome
@@ -1516,84 +1267,92 @@ void spliceRemoteSpans(std::string &Doc, const DistTrace &DT) {
     return Pid;
   };
 
-  for (const RemoteSpan &S : DT.Spans) {
-    uint64_t Pid = PidOf(S.Process);
-    uint64_t Ts = S.StartUs >= DT.WallBaseUs ? S.StartUs - DT.WallBaseUs : 0;
+  for (const JsonValue &S : DT.Spans) {
+    auto Str = [&](const char *Key) {
+      const std::string *M = S.memberString(Key);
+      return M ? *M : std::string();
+    };
+    std::string Name = Str("name"), SpanId = Str("span_id");
+    if (Name.empty() || SpanId.empty())
+      continue;
+    std::string Process = Str("process");
+    uint64_t Pid = PidOf(Process.empty() ? "server" : Process);
+    uint64_t Start = S.memberU64("start_us").value_or(0);
+    uint64_t Ts = Start >= DT.WallBaseUs ? Start - DT.WallBaseUs : 0;
+    auto Event = [&](const char *Ph, uint64_t At) {
+      JsonWriter EW;
+      EW.beginObject();
+      EW.key("name").value(Name);
+      EW.key("cat").value("bec");
+      EW.key("ph").value(Ph);
+      EW.key("ts").value(At);
+      EW.key("pid").value(Pid);
+      EW.key("tid").value(S.memberU64("tid").value_or(0));
+      EW.endObject();
+      return EW.take();
+    };
 
     // The span's identity rides on the B event's args, merged after any
     // args the server recorded (same pre-rendered-splice idiom as the
     // local tracer).
     JsonWriter AW;
     AW.beginObject();
-    AW.key("trace_id").value(S.TraceId);
-    AW.key("span_id").value(S.SpanId);
-    if (!S.ParentSpan.empty())
-      AW.key("parent_span").value(S.ParentSpan);
+    AW.key("trace_id").value(Str("trace_id"));
+    AW.key("span_id").value(SpanId);
+    if (std::string Parent = Str("parent_span"); !Parent.empty())
+      AW.key("parent_span").value(Parent);
     AW.endObject();
     std::string Args = AW.take();
-    if (S.ArgsJson.size() > 2) {
-      std::string Merged = S.ArgsJson;
-      Merged.back() = ',';
-      Merged.append(Args, 1, std::string::npos);
-      Args = std::move(Merged);
-    }
+    const JsonValue *Recorded = S.member("args");
+    if (std::string Own = Recorded ? Recorded->toJson() : ""; Own.size() > 2)
+      Args = Own.substr(0, Own.size() - 1) + "," + Args.substr(1);
 
-    JsonWriter BW;
-    BW.beginObject();
-    BW.key("name").value(S.Name);
-    BW.key("cat").value("bec");
-    BW.key("ph").value("B");
-    BW.key("ts").value(Ts);
-    BW.key("pid").value(Pid);
-    BW.key("tid").value(S.Tid);
-    BW.endObject();
-    std::string BObj = BW.take();
-    BObj.pop_back();
-    BObj += ",\"args\":";
-    BObj += Args;
-    BObj += '}';
-    Push(BObj);
-
-    JsonWriter EW;
-    EW.beginObject();
-    EW.key("name").value(S.Name);
-    EW.key("cat").value("bec");
-    EW.key("ph").value("E");
-    EW.key("ts").value(Ts + S.DurUs);
-    EW.key("pid").value(Pid);
-    EW.key("tid").value(S.Tid);
-    EW.endObject();
-    Push(EW.take());
+    std::string B = Event("B", Ts);
+    B.pop_back();
+    Push(B + ",\"args\":" + Args + "}");
+    Push(Event("E", Ts + S.memberU64("dur_us").value_or(0)));
   }
   Doc.insert(Close, Ins);
 }
 
-/// `bec <subcommand> --remote host:port`: transparent offload.
-int runRemote(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
-              std::ostream &Err) {
-  std::vector<std::string> Targets;
-  if (int Status = remoteTargetList(Opts, Targets, Err))
-    return Status;
-  bool WithEmit = !Opts.EmitPath.empty();
-  if (WithEmit && Targets.size() != 1) {
-    Err << "bec: --emit requires exactly one selected target\n";
-    return ExitUsage;
-  }
-
+/// Connects to the --remote server; under an armed trace every frame
+/// carries the distributed trace context, parented at the root span.
+std::optional<serve::Client> connectRemote(const DriverOptions &Opts,
+                                           const DistTrace *DT,
+                                           std::ostream &Err) {
   std::string ConnErr;
   std::optional<serve::Client> C =
       serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
+  if (!C)
     Err << "bec: " << ConnErr << "\n";
-    return ExitBadInput;
-  }
+  else if (DT && DT->armed())
+    C->setTrace({DT->TraceId, DT->RootSpanId});
+  return C;
+}
+
+/// `bec <subcommand> --remote host:port`: transparent offload.
+int runRemote(const DriverOptions &Opts,
+              const std::vector<std::string> &Targets, DistTrace *DT,
+              std::ostream &Out, std::ostream &Err) {
+  if (int Status = requireOneTarget(Opts, Targets.size(), Err))
+    return Status;
+  bool WithEmit = !Opts.EmitPath.empty();
   // Under --trace-out every frame of this exchange (interns included)
   // carries the distributed trace context, parented at the root span.
-  if (DT && DT->armed())
-    C->setTrace({DT->TraceId, DT->RootSpanId});
-  for (const std::string &Path : Opts.AsmFiles)
-    if (int Status = internAsmFile(*C, Path, Err))
-      return Status;
+  std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
+  if (!C)
+    return ExitBadInput;
+  // Pool each external file on the server under its path name.
+  for (const std::string &Path : Opts.AsmFiles) {
+    std::optional<std::string> Params = internParamsForFile(Path, Err);
+    if (!Params)
+      return ExitBadInput;
+    serve::Reply R = C->call("intern", *Params);
+    if (!R.Ok) {
+      reportReplyError(R, Path, Err);
+      return ExitBadInput;
+    }
+  }
 
   std::string Params = subcommandParams(Opts.Cmd, Opts, Targets, WithEmit);
   serve::Reply R;
@@ -1604,7 +1363,7 @@ int runRemote(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
     R = C->callStreaming("campaign/run", Params,
                          [&](const JsonValue &P) { printProgress(P, Err); });
   } else {
-    R = C->call(commandMethod(Opts.Cmd), Params);
+    R = C->call(subcommand(Opts.Cmd).Method, Params);
   }
   // Collect the servers' spans whether or not the command succeeded —
   // a failed hop's spans are exactly what the trace is for. The dump
@@ -1620,21 +1379,31 @@ int runRemote(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   return consumeSubcommandReply(R, Opts, WithEmit, Out, Err);
 }
 
-/// Publishes the bound port for scripts using --port 0. Write-then-rename
-/// so pollers never observe a partial file.
-int writePortFile(const std::string &Path, uint16_t Port, std::ostream &Err) {
-  if (Path.empty())
-    return ExitSuccess;
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream PF(Tmp);
-    if (!PF) {
-      Err << "bec: cannot write '" << Path << "'\n";
+/// Binds \p Srv, announces "<Who> listening on host:port (api, protocol)"
+/// plus \p Tail, publishes the bound port for scripts using --port 0
+/// (write-then-rename, so pollers never see a partial file) and serves
+/// until shutdown.
+int listenAndRun(net::EventServer &Srv, const DriverOptions &Opts,
+                 const char *Who, const std::string &Tail, std::ostream &Out,
+                 std::ostream &Err) {
+  std::string BindErr;
+  if (!Srv.start(BindErr)) {
+    Err << "bec: " << subcommand(Opts.Cmd).Name << ": " << BindErr << "\n";
+    return ExitBadInput;
+  }
+  Out << Who << " listening on " << Opts.ServeHost << ":" << Srv.port()
+      << " (api " << BEC_API_VERSION_STRING << ", protocol "
+      << serve::ProtocolVersion << ")" << Tail << "\n";
+  Out.flush();
+  if (!Opts.PortFile.empty()) {
+    std::string Tmp = Opts.PortFile + ".tmp";
+    if (!(std::ofstream(Tmp) << Srv.port() << "\n")) {
+      Err << "bec: cannot write '" << Opts.PortFile << "'\n";
       return ExitBadInput;
     }
-    PF << Port << "\n";
+    std::rename(Tmp.c_str(), Opts.PortFile.c_str());
   }
-  std::rename(Tmp.c_str(), Path.c_str());
+  Srv.run();
   return ExitSuccess;
 }
 
@@ -1668,7 +1437,7 @@ int runServe(const DriverOptions &Opts, std::ostream &Out,
   EO.Port = Opts.ServePort;
   // --jobs sizes the worker pool executing requests (0 = one per core);
   // it does not bound connections.
-  EO.Workers = Opts.JobsExplicit ? Opts.Jobs : 0;
+  EO.Workers = Opts.Jobs.value_or(0);
   EO.QueueDepth = Opts.QueueDepth;
   net::EventServer Srv(
       [&Svc](std::string_view Line, const net::FrameSink &Sink) {
@@ -1677,18 +1446,8 @@ int runServe(const DriverOptions &Opts, std::ostream &Out,
       Svc.handshakeFrame(), EO);
   Srv.setDrainCheck([&Svc] { return Svc.isShuttingDown(); });
   Srv.setAcceptCallback([&Svc] { Svc.noteConnection(); });
-  std::string BindErr;
-  if (!Srv.start(BindErr)) {
-    Err << "bec: serve: " << BindErr << "\n";
-    return ExitBadInput;
-  }
-  Out << "becd listening on " << EO.Host << ":" << Srv.port() << " (api "
-      << BEC_API_VERSION_STRING << ", protocol " << serve::ProtocolVersion
-      << ")\n";
-  Out.flush();
-  if (int Status = writePortFile(Opts.PortFile, Srv.port(), Err))
+  if (int Status = listenAndRun(Srv, Opts, "becd", "", Out, Err))
     return Status;
-  Srv.run();
   Out << "becd: shut down\n";
   return ExitSuccess;
 }
@@ -1701,7 +1460,7 @@ int runGateway(const DriverOptions &Opts, std::ostream &Out,
     return Status;
   net::Gateway::Options GO;
   GO.Backends = Opts.GatewayBackends;
-  GO.HealthIntervalMs = Opts.HealthIntervalMs;
+  GO.HealthIntervalMs = Opts.HealthIntervalSec * 1000;
   net::Gateway GW(GO);
   std::string GwErr;
   if (!GW.start(GwErr)) {
@@ -1714,26 +1473,16 @@ int runGateway(const DriverOptions &Opts, std::ostream &Out,
   EO.Port = Opts.ServePort;
   // Gateway workers block on upstream becds (I/O-bound), so default a
   // small fixed pool rather than one per core.
-  EO.Workers = Opts.JobsExplicit ? Opts.Jobs : 8;
+  EO.Workers = Opts.Jobs.value_or(8);
   net::EventServer Srv(
       [&GW](std::string_view Line, const net::FrameSink &Sink) {
         return GW.handleFrame(Line, Sink);
       },
       GW.handshakeFrame(), EO);
   Srv.setDrainCheck([&GW] { return GW.isDraining(); });
-  std::string BindErr;
-  if (!Srv.start(BindErr)) {
-    Err << "bec: gateway: " << BindErr << "\n";
-    return ExitBadInput;
-  }
-  Out << "bec gateway listening on " << EO.Host << ":" << Srv.port()
-      << " (api " << BEC_API_VERSION_STRING << ", protocol "
-      << serve::ProtocolVersion << ") -> " << GW.backendCount()
-      << " backends\n";
-  Out.flush();
-  if (int Status = writePortFile(Opts.PortFile, Srv.port(), Err))
+  std::string Tail = " -> " + std::to_string(GW.backendCount()) + " backends";
+  if (int Status = listenAndRun(Srv, Opts, "bec gateway", Tail, Out, Err))
     return Status;
-  Srv.run();
   GW.stop();
   Out << "gateway: shut down\n";
   return ExitSuccess;
@@ -1910,13 +1659,9 @@ int statsOnce(const DriverOptions &Opts, StatsSample &Prev, std::ostream &Out,
                               : renderLocalStatsText(Snap));
     return ExitSuccess;
   }
-  std::string ConnErr;
-  std::optional<serve::Client> C =
-      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
-    Err << "bec: " << ConnErr << "\n";
+  std::optional<serve::Client> C = connectRemote(Opts, nullptr, Err);
+  if (!C)
     return ExitBadInput;
-  }
   serve::Reply R = C->call(Opts.StatsMetrics ? "metrics" : "stats");
   if (!R.Ok) {
     Err << "bec: " << R.errorText() << "\n";
@@ -1956,6 +1701,26 @@ int runStats(const DriverOptions &Opts, std::ostream &Out,
   }
 }
 
+/// A `bec client` method that is not a subcommand pipeline: its at most
+/// one positional argument, sent as the param \p Param (intern instead
+/// sends the named file).
+struct ClientMethod {
+  const char *Name;
+  const char *Param = nullptr; ///< Null: takes no argument.
+  const char *Arg = nullptr;   ///< What the argument is, for usage errors.
+  bool ArgRequired = false;
+};
+
+const ClientMethod ClientMethods[] = {
+    {"version"}, {"stats"}, {"metrics"}, {"shutdown"}, {"gateway/backends"},
+    {"gateway/drain", "backend", "backend host:port", true},
+    {"gateway/undrain", "backend", "backend host:port", true},
+    {"trace/dump", "trace_id", "trace id"},
+    {"log/level", "level", "level (debug | info | warn | error | off)"},
+    {"counts", "target", "target", true},
+    {"intern", "name", "assembly file", true},
+};
+
 /// `bec client <method> ...`: one raw method call.
 int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
               std::ostream &Err) {
@@ -1965,88 +1730,46 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
 
   // Build params before connecting so usage errors stay local.
   std::string Params;
-  std::optional<Command> Sub = subcommandForMethod(Method);
+  const Subcommand *Sub = subcommandOfMethod(Method);
   std::string AsmPath;
   if (Sub) {
-    Params = subcommandParams(*Sub, Opts, Positional, /*WithEmit=*/false);
-  } else if (Method == "version" || Method == "stats" ||
-             Method == "metrics" || Method == "shutdown" ||
-             Method == "gateway/backends") {
-    if (!Positional.empty()) {
-      Err << "bec: client " << Method << " takes no arguments\n";
-      return ExitUsage;
-    }
-  } else if (Method == "gateway/drain" || Method == "gateway/undrain") {
-    if (Positional.size() != 1) {
+    Params = subcommandParams(Sub->Cmd, Opts, Positional, /*WithEmit=*/false);
+  } else if (const ClientMethod *M = std::find_if(
+                 std::begin(ClientMethods), std::end(ClientMethods),
+                 [&](const ClientMethod &M) { return Method == M.Name; });
+             M != std::end(ClientMethods)) {
+    size_t Most = M->Param ? 1 : 0, Least = M->ArgRequired ? 1 : 0;
+    if (Positional.size() < Least || Positional.size() > Most) {
       Err << "bec: client " << Method
-          << " needs exactly one backend host:port\n";
+          << (!Most    ? " takes no arguments"
+              : Least ? " needs exactly one " + std::string(M->Arg)
+                      : " takes at most one " + std::string(M->Arg))
+          << "\n";
       return ExitUsage;
     }
-    JsonWriter W;
-    W.beginObject();
-    W.key("backend").value(Positional[0]);
-    W.endObject();
-    Params = W.take();
-  } else if (Method == "trace/dump") {
-    if (Positional.size() > 1) {
-      Err << "bec: client trace/dump takes at most one trace id\n";
-      return ExitUsage;
-    }
-    if (Positional.size() == 1) {
+    if (Method == "intern") {
+      // Ships the file's text; the server pools it under its path.
+      AsmPath = Positional[0];
+      std::optional<std::string> InternParams =
+          internParamsForFile(AsmPath, Err);
+      if (!InternParams)
+        return ExitBadInput;
+      Params = *InternParams;
+    } else if (!Positional.empty()) {
       JsonWriter W;
       W.beginObject();
-      W.key("trace_id").value(Positional[0]);
+      W.key(M->Param).value(Positional[0]);
       W.endObject();
       Params = W.take();
     }
-  } else if (Method == "log/level") {
-    if (Positional.size() > 1) {
-      Err << "bec: client log/level takes at most one level "
-             "(debug | info | warn | error | off)\n";
-      return ExitUsage;
-    }
-    if (Positional.size() == 1) {
-      JsonWriter W;
-      W.beginObject();
-      W.key("level").value(Positional[0]);
-      W.endObject();
-      Params = W.take();
-    }
-  } else if (Method == "counts") {
-    if (Positional.size() != 1) {
-      Err << "bec: client counts needs exactly one target\n";
-      return ExitUsage;
-    }
-    JsonWriter W;
-    W.beginObject();
-    W.key("target").value(Positional[0]);
-    W.endObject();
-    Params = W.take();
-  } else if (Method == "intern") {
-    if (Positional.size() != 1) {
-      Err << "bec: client intern needs exactly one assembly file\n";
-      return ExitUsage;
-    }
-    AsmPath = Positional[0];
-    std::optional<std::string> InternParams =
-        internParamsForFile(AsmPath, Err);
-    if (!InternParams)
-      return ExitBadInput;
-    Params = *InternParams;
   } else {
     Err << "bec: unknown client method '" << Method << "'\n";
     return ExitUsage;
   }
 
-  std::string ConnErr;
-  std::optional<serve::Client> C =
-      serve::Client::connect(Opts.RemoteHost, Opts.RemotePort, ConnErr);
-  if (!C) {
-    Err << "bec: " << ConnErr << "\n";
+  std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
+  if (!C)
     return ExitBadInput;
-  }
-  if (DT && DT->armed())
-    C->setTrace({DT->TraceId, DT->RootSpanId});
   serve::Reply R =
       Method == "campaign/run"
           ? C->callStreaming(Method, Params,
@@ -2066,33 +1789,6 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   return ExitSuccess;
 }
 
-/// The subcommand's name, for the root trace span ("bec:analyze").
-const char *commandName(Command C) {
-  switch (C) {
-  case Command::Analyze:
-    return "analyze";
-  case Command::Campaign:
-    return "campaign";
-  case Command::Schedule:
-    return "schedule";
-  case Command::Harden:
-    return "harden";
-  case Command::Report:
-    return "report";
-  case Command::Fuzz:
-    return "fuzz";
-  case Command::Serve:
-    return "serve";
-  case Command::Gateway:
-    return "gateway";
-  case Command::Client:
-    return "client";
-  case Command::Stats:
-    return "stats";
-  }
-  return "bec";
-}
-
 /// Everything after argument parsing: subcommand dispatch. Split out so
 /// runDriver can scope the root trace span around exactly this.
 int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
@@ -2109,37 +1805,35 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   // form is not a mirrored server method call over targets).
   if (Opts.Cmd == Command::Stats)
     return runStats(Opts, Out, Err);
+  std::vector<std::string> Targets;
+  size_t NumWorkloads = 0;
+  if (int Status = selectTargets(Opts, Targets, NumWorkloads, Err))
+    return Status;
   if (Opts.Remote)
-    return runRemote(Opts, DT, Out, Err);
+    return runRemote(Opts, Targets, DT, Out, Err);
 
   AnalysisSession S;
-  if (int Status = collectTargets(Opts, S, Err))
+  for (size_t I = 0; I < Targets.size(); ++I) {
+    std::string Error;
+    if (I < NumWorkloads) {
+      S.addProgram(Targets[I], loadWorkload(*findWorkload(Targets[I])));
+    } else if (!S.addAsmFile(Targets[I], Error)) {
+      Err << "bec: " << Error << "\n";
+      return ExitBadInput;
+    }
+  }
+  if (int Status = requireOneTarget(Opts, S.numTargets(), Err))
     return Status;
-  if (!Opts.EmitPath.empty() && S.numTargets() != 1) {
-    Err << "bec: --emit requires exactly one selected target\n";
-    return ExitUsage;
-  }
-  if (!Opts.CheckpointPath.empty() && S.numTargets() != 1) {
-    // One checkpoint file describes one campaign.
-    Err << "bec: --checkpoint requires exactly one selected target\n";
-    return ExitUsage;
-  }
-  if (!Opts.ProfilePath.empty() && S.numTargets() != 1) {
-    // Likewise: one profile document describes one engine run.
-    Err << "bec: --profile requires exactly one selected target\n";
-    return ExitUsage;
-  }
 
-  std::vector<std::string> Names = targetNames(S);
   bool Json = Opts.Format == OutputFormat::Json;
-  ThreadPool Pool(ThreadPool::clampJobs(Opts.Jobs));
+  ThreadPool Pool(ThreadPool::clampJobs(Opts.Jobs.value_or(1)));
   int Status = ExitSuccess;
 
   switch (Opts.Cmd) {
   case Command::Analyze: {
     auto Results = S.evaluateAll<AnalyzeQuery>({}, Pool);
-    Out << (Json ? renderAnalyzeJson(Names, Results)
-                 : renderAnalyzeText(Names, Results));
+    Out << (Json ? renderAnalyzeJson(Targets, Results)
+                 : renderAnalyzeText(Targets, Results));
     Status = reportErrors(S, Results, Err);
     break;
   }
@@ -2151,7 +1845,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
     Base.SampleSeed = Opts.SampleSeed;
     Base.PrefixCheckpoint = Opts.PrefixCheckpoint;
     Base.CheckpointEveryK = Opts.CheckpointEveryK;
-    Base.Exec.Threads = ThreadPool::clampJobs(Opts.CampaignThreads);
+    Base.Exec.Threads =
+        ThreadPool::clampJobs(Opts.CampaignThreads.value_or(1));
     Base.Exec.ShardSize = Opts.ShardSize;
     Base.Exec.CheckpointPath = Opts.CheckpointPath;
     Base.Exec.Resume = Opts.Resume;
@@ -2181,8 +1876,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
                                     O);
       });
     Pool.wait();
-    Out << (Json ? renderCampaignJson(Names, Results, Opts.Plan)
-                 : renderCampaignText(Names, Results, Opts.Plan));
+    Out << (Json ? renderCampaignJson(Targets, Results, Opts.Plan)
+                 : renderCampaignText(Targets, Results, Opts.Plan));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess && Opts.Resume)
       Err << "bec: campaign: resumed " << Results[0]->Campaign.ResumedShards
@@ -2202,8 +1897,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   }
   case Command::Schedule: {
     auto Results = S.evaluateAll<ScheduleCmdQuery>({}, Pool);
-    Out << (Json ? renderScheduleJson(Names, Results)
-                 : renderScheduleText(Names, Results));
+    Out << (Json ? renderScheduleJson(Targets, Results)
+                 : renderScheduleText(Targets, Results));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess && !Opts.EmitPath.empty()) {
       size_t Policy = Opts.EmitPolicy == SchedulePolicy::SourceOrder ? 0
@@ -2218,8 +1913,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
     HardenCmdQuery::Options HO;
     HO.Budgets = Opts.Budgets;
     auto Results = S.evaluateAll<HardenCmdQuery>(HO, Pool);
-    Out << (Json ? renderHardenJson(Names, Results, Opts.Budgets)
-                 : renderHardenText(Names, Results, Opts.Budgets));
+    Out << (Json ? renderHardenJson(Targets, Results, Opts.Budgets)
+                 : renderHardenText(Targets, Results, Opts.Budgets));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess)
       for (size_t I = 0; I < Results.size(); ++I)
@@ -2236,8 +1931,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   }
   case Command::Report: {
     auto Results = S.evaluateAll<ReportCmdQuery>({Opts.MaxCycles}, Pool);
-    Out << (Json ? renderReportJson(Names, Results)
-                 : renderReportText(Names, Results));
+    Out << (Json ? renderReportJson(Targets, Results)
+                 : renderReportText(Targets, Results));
     Status = reportErrors(S, Results, Err);
     if (Status == ExitSuccess)
       for (const auto &R : Results)
@@ -2245,11 +1940,7 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
           Status = ExitUnsound;
     break;
   }
-  case Command::Fuzz:
-  case Command::Serve:
-  case Command::Gateway:
-  case Command::Client:
-  case Command::Stats:
+  default:
     break; // Dispatched before target loading.
   }
   return Status;
@@ -2264,11 +1955,23 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
 int bec::tool::runDriver(const std::vector<std::string> &Args,
                          std::ostream &Out, std::ostream &Err) {
   DriverOptions Opts;
-  int ParseStatus = parseArgs(Args, Opts, Out, Err);
-  if (ParseStatus == -1)
-    return ExitSuccess; // --help / --list-workloads.
-  if (ParseStatus != ExitSuccess)
-    return ParseStatus;
+  if (int Status = parseArgs(Args, Opts, Err))
+    return Status;
+  switch (Opts.Cmd) {
+  case Command::Help:
+    printUsage(Out);
+    return ExitSuccess;
+  case Command::ListWorkloads:
+    for (const Workload &W : allWorkloads())
+      Out << W.Name << "\n";
+    return ExitSuccess;
+  case Command::Version:
+    Out << "bec " << BEC_API_VERSION_STRING << " (" << buildType()
+        << ", protocol " << serve::ProtocolVersion << ")\n";
+    return ExitSuccess;
+  default:
+    break;
+  }
 
   // --trace-out against a server arms distributed tracing: a fresh
   // 128-bit trace id plus the local root span's id travel in every
@@ -2288,7 +1991,7 @@ int bec::tool::runDriver(const std::vector<std::string> &Args,
   int Status;
   {
     obs::Span Root(obs::traceActive()
-                       ? std::string("bec:") + commandName(Opts.Cmd)
+                       ? std::string("bec:") + subcommand(Opts.Cmd).Name
                        : std::string());
     if (DT.armed() && obs::traceActive()) {
       Root.argStr("trace_id", DT.TraceId);
@@ -2300,13 +2003,7 @@ int bec::tool::runDriver(const std::vector<std::string> &Args,
     std::string Doc = obs::traceEnd();
     spliceRemoteSpans(Doc, DT);
     std::ofstream TraceFile(Opts.TraceOutPath, std::ios::binary);
-    bool Wrote = static_cast<bool>(TraceFile);
-    if (Wrote) {
-      TraceFile << Doc;
-      TraceFile.flush();
-      Wrote = static_cast<bool>(TraceFile);
-    }
-    if (!Wrote) {
+    if (!(TraceFile << Doc << std::flush)) {
       Err << "bec: cannot write trace file '" << Opts.TraceOutPath << "'\n";
       if (Status == ExitSuccess)
         Status = ExitBadInput;
