@@ -15,8 +15,8 @@
 ///     diverge, plus the baseline pipeline itself.
 ///
 /// With Config::Caching=false every get() recomputes and the loop does
-/// exactly the work of the PR-2 cold loop — bench_SessionReuse measures
-/// the two against each other.
+/// exactly the work of an uncached loop, and SessionEquivalence tests
+/// hold the two to byte-identical results.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -23,7 +23,7 @@
 /// measurement interns the trial program and pulls Verify/Trace/BEC
 /// through the cache, so the accepted candidate's full analysis is reused
 /// as the next round's baseline instead of being recomputed cold — the
-/// headline win benchmarked by bench_SessionReuse.
+/// headline win of the session cache.
 ///
 //===----------------------------------------------------------------------===//
 

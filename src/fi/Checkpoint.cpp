@@ -4,32 +4,13 @@
 
 #include "support/Json.h"
 #include "support/JsonParse.h"
-
-#include <cstdio>
-#include <cstdlib>
+#include "support/StringUtils.h"
 
 using namespace bec;
 
 namespace {
 
 constexpr int FormatVersion = 1;
-
-std::string hex64(uint64_t V) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)V);
-  return Buf;
-}
-
-/// Full-string hex decode of a 64-bit value; nullopt on garbage.
-std::optional<uint64_t> parseHex64(const std::string &S) {
-  if (S.empty() || S.size() > 16)
-    return std::nullopt;
-  char *End = nullptr;
-  uint64_t V = std::strtoull(S.c_str(), &End, 16);
-  if (End != S.c_str() + S.size())
-    return std::nullopt;
-  return V;
-}
 
 std::string headerLine(const CheckpointHeader &H) {
   JsonWriter W;

@@ -98,9 +98,8 @@ struct CampaignScalingDiagnosis {
 CampaignScalingDiagnosis
 diagnoseCampaignScaling(const CampaignPhaseProfile &P);
 
-/// The machine-readable profile document `--profile=FILE` writes and
-/// bench_CampaignScale embeds: per-worker phase rows, per-shard records
-/// and the diagnosis.
+/// The machine-readable profile document `--profile=FILE` writes:
+/// per-worker phase rows, per-shard records and the diagnosis.
 std::string renderCampaignProfileJson(const CampaignPhaseProfile &P);
 
 /// Shared emission throttle of progress consumers (the CLI's --progress

@@ -20,6 +20,7 @@
 #include "sim/Interpreter.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
+#include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -33,14 +34,6 @@ using namespace bec;
 using namespace bec::fuzz;
 
 namespace {
-
-std::string hex16(uint64_t V) {
-  static const char *Digits = "0123456789abcdef";
-  std::string S(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    S[static_cast<size_t>(I)] = Digits[V & 0xf];
-  return S;
-}
 
 /// Fingerprint over every option that can change a verdict or the
 /// selected corpus. Threads, checkpointing, interruption, banking and
@@ -124,7 +117,7 @@ std::string recordLine(uint64_t Index, uint64_t Seed,
   JsonWriter W;
   W.beginObject();
   W.key("program").value(Index);
-  W.key("seed").value(hex16(Seed));
+  W.key("seed").value(hex64(Seed));
   W.key("ex_runs").value(R.ExRuns);
   W.key("bit_runs").value(R.BitRuns);
   W.key("effects").beginArray();
@@ -140,7 +133,7 @@ std::string headerLine(uint64_t Fingerprint, uint64_t Programs) {
   JsonWriter W;
   W.beginObject();
   W.key("bec_fuzz_checkpoint").value(uint64_t(1));
-  W.key("fingerprint").value(hex16(Fingerprint));
+  W.key("fingerprint").value(hex64(Fingerprint));
   W.key("programs").value(Programs);
   W.endObject();
   return W.take() + "\n";
@@ -168,7 +161,7 @@ bool loadFuzzCheckpoint(const std::string &Path, uint64_t Fingerprint,
     if (V->member("bec_fuzz_checkpoint")) {
       const std::string *FP = V->memberString("fingerprint");
       std::optional<uint64_t> Programs = V->memberU64("programs");
-      if (!FP || *FP != hex16(Fingerprint) || !Programs ||
+      if (!FP || *FP != hex64(Fingerprint) || !Programs ||
           *Programs != Seeds.size()) {
         Err = "checkpoint '" + Path + "' belongs to a different fuzz "
               "campaign (fingerprint or corpus size mismatch)";
@@ -188,7 +181,7 @@ bool loadFuzzCheckpoint(const std::string &Path, uint64_t Fingerprint,
     std::optional<uint64_t> Mismatches = V->memberU64("mismatches");
     const JsonValue *Effects = V->member("effects");
     if (!Index || *Index >= Seeds.size() || !Seed ||
-        *Seed != hex16(Seeds[*Index]) || !Ex || !Bit || !Mismatches ||
+        *Seed != hex64(Seeds[*Index]) || !Ex || !Bit || !Mismatches ||
         !Effects || !Effects->isArray() ||
         Effects->asArray()->size() != NumFaultEffects)
       continue; // malformed record
@@ -321,10 +314,10 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
           }
           if (!O.BankDir.empty()) {
             std::string Path =
-                O.BankDir + "/repro_" + hex16(Seed) + ".s";
+                O.BankDir + "/repro_" + hex64(Seed) + ".s";
             std::ofstream Out(Path, std::ios::trunc);
             Out << "# bec fuzz reproducer\n"
-                << "# seed 0x" << hex16(Seed) << " (program " << Index
+                << "# seed 0x" << hex64(Seed) << " (program " << Index
                 << " of corpus seed " << O.Seed << ")\n"
                 << "# oracle: " << Bad->Oracle << "\n"
                 << "# detail: " << Bad->Detail << "\n"
@@ -373,8 +366,8 @@ std::string bec::fuzz::emitCorpus(const FuzzOptions &O,
   for (uint64_t Seed : Sel.Seeds) {
     GeneratedProgram G = generateProgram(Seed, O.Gen);
     if (!G.Error.empty())
-      return "seed " + hex16(Seed) + " does not generate: " + G.Error;
-    std::string Path = Dir + "/seed_" + hex16(Seed) + ".s";
+      return "seed " + hex64(Seed) + " does not generate: " + G.Error;
+    std::string Path = Dir + "/seed_" + hex64(Seed) + ".s";
     std::ofstream Out(Path, std::ios::trunc);
     Out << G.Asm;
     if (!Out.good())

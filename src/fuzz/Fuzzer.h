@@ -107,7 +107,7 @@ struct FuzzResult {
 FuzzResult runFuzz(const FuzzOptions &O);
 
 /// Writes the corpus that \p O selects (seed, count, budget) into
-/// \p Dir as one `seed_<hex16>.s` file per program, creating the
+/// \p Dir as one `seed_<hex64>.s` file per program, creating the
 /// directory if needed. Used to (re)generate tests/corpus/. Returns ""
 /// on success or a diagnostic.
 std::string emitCorpus(const FuzzOptions &O, const std::string &Dir);

@@ -20,6 +20,7 @@
 
 #include "ir/AsmParser.h"
 #include "support/Debug.h"
+#include "support/StringUtils.h"
 #include "support/Xoshiro.h"
 
 using namespace bec;
@@ -71,12 +72,12 @@ public:
   GeneratedProgram run(uint64_t Seed) {
     GeneratedProgram G;
     G.Seed = Seed;
-    G.Name = "fuzz-" + hex16(Seed);
+    G.Name = "fuzz-" + hex64(Seed);
 
     W = O.Widths.empty() ? 32 : O.Widths[R.below(O.Widths.size())];
     UseMemory = O.AllowMemory && W == 32 && R.chance(2, 3);
 
-    Asm += "# fuzz seed 0x" + hex16(Seed) + "\n";
+    Asm += "# fuzz seed 0x" + hex64(Seed) + "\n";
     Asm += ".width " + std::to_string(W) + "\n";
     if (UseMemory) {
       Asm += ".data\n";
@@ -133,14 +134,6 @@ public:
   }
 
 private:
-  static std::string hex16(uint64_t V) {
-    static const char *Digits = "0123456789abcdef";
-    std::string S(16, '0');
-    for (int I = 15; I >= 0; --I, V >>= 4)
-      S[static_cast<size_t>(I)] = Digits[V & 0xf];
-    return S;
-  }
-
   const char *reg() { return Pool[R.below(PoolSize)]; }
 
   /// Non-negative immediate that fits every width >= 2 we generate:

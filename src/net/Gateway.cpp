@@ -51,28 +51,6 @@ std::string lowered(std::string_view S) {
   return Out;
 }
 
-/// "host:port" -> (host, port). False on malformed input.
-bool splitAddress(const std::string &Addr, std::string &Host,
-                  uint16_t &Port) {
-  size_t Colon = Addr.rfind(':');
-  if (Colon == std::string::npos || Colon == 0 || Colon + 1 == Addr.size())
-    return false;
-  Host = Addr.substr(0, Colon);
-  unsigned long P = 0;
-  for (size_t I = Colon + 1; I < Addr.size(); ++I) {
-    if (!std::isdigit(static_cast<unsigned char>(Addr[I])))
-      return false;
-    P = P * 10 + unsigned(Addr[I] - '0');
-    if (P > 65535)
-      return false;
-  }
-  if (P == 0)
-    return false;
-  Host = Addr.substr(0, Colon);
-  Port = uint16_t(P);
-  return true;
-}
-
 /// Per-backend forward-latency histograms, registered lazily by address
 /// (the obs registry keys call sites by name; backends are dynamic).
 const obs::Histogram &forwardHistogram(const std::string &Address) {
@@ -113,7 +91,7 @@ bool Gateway::start(std::string &Err) {
   for (const std::string &Addr : Opts.Backends) {
     auto B = std::make_unique<Backend>();
     B->Address = Addr;
-    if (!splitAddress(Addr, B->Host, B->Port)) {
+    if (!serve::splitHostPort(Addr, B->Host, B->Port)) {
       Err = "malformed backend address '" + Addr + "' (want host:port)";
       return false;
     }

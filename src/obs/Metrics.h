@@ -26,7 +26,7 @@
 /// Compile-time kill switch: building with -DBEC_OBS_DISABLED turns the
 /// whole surface (metrics *and* tracing) into empty inlines. Runtime kill
 /// switch: setMetricsEnabled(false), or the BEC_OBS_DISABLED environment
-/// variable at process start; bench_ObsOverhead uses the runtime switch
+/// variable at process start; bench_TimingGates uses the runtime switch
 /// to measure both sides in one binary.
 ///
 /// Exactness contract: after the writing threads have joined (or any

@@ -2,6 +2,8 @@
 
 #include "obs/SpanRing.h"
 
+#include "support/StringUtils.h"
+
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -41,14 +43,6 @@ uint64_t nextRandom() {
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111eb;
   return Z ^ (Z >> 31);
-}
-
-std::string hex64(uint64_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[I] = Digits[V & 15];
-  return Out;
 }
 
 uint64_t wallNowUs() {

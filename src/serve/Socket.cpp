@@ -4,6 +4,7 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -146,8 +147,23 @@ bool ListenSocket::listenOn(const std::string &Host, uint16_t RequestedPort,
 }
 
 //===----------------------------------------------------------------------===//
-// connectTo
+// splitHostPort / connectTo
 //===----------------------------------------------------------------------===//
+
+bool bec::serve::splitHostPort(std::string_view Addr, std::string &Host,
+                               uint16_t &Port) {
+  size_t Colon = Addr.rfind(':');
+  if (Colon == std::string_view::npos || Colon == 0)
+    return false;
+  const char *End = Addr.data() + Addr.size();
+  uint16_t P = 0;
+  auto [Stop, Ec] = std::from_chars(Addr.data() + Colon + 1, End, P);
+  if (Ec != std::errc() || Stop != End || P == 0)
+    return false;
+  Host = Addr.substr(0, Colon);
+  Port = P;
+  return true;
+}
 
 std::optional<Socket> bec::serve::connectTo(const std::string &Host,
                                             uint16_t Port, std::string &Err) {

@@ -93,6 +93,11 @@ private:
 /// link opens or accepts goes through this.
 void setNoDelay(int FD);
 
+/// Splits "host:port" (the --remote and --backends spelling) at its last
+/// colon. The port must be plain decimal digits in 1..65535: a sign, a
+/// space or an overflow is rejected, never wrapped. False on bad input.
+bool splitHostPort(std::string_view Addr, std::string &Host, uint16_t &Port);
+
 /// Resolves \p Host (numeric or named) and connects. nullopt with a
 /// diagnostic on failure.
 std::optional<Socket> connectTo(const std::string &Host, uint16_t Port,

@@ -368,6 +368,10 @@ TEST(CampaignEngine, ResumeRejectsCheckpointOfDifferentPlan) {
 }
 
 TEST(CampaignEngine, TornTrailingCheckpointRecordIsIgnored) {
+  // An unreadable record is dropped and its shard re-runs on resume: a
+  // torn trailing write (what a kill mid-write leaves: a half record, no
+  // newline), or a record whose hash is not hex digits alone: "-1"
+  // (strtoull would wrap it to ffffffffffffffff), "+1", " 1" or "0x1".
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
@@ -383,19 +387,34 @@ TEST(CampaignEngine, TornTrailingCheckpointRecordIsIgnored) {
   Exec.CheckpointPath = Path;
   Exec.StopAfterShards = 2;
   ASSERT_TRUE(runCampaign(Prog, Golden, Plan, Exec).Error.empty());
-  {
-    // What a kill mid-write leaves behind: a half record, no newline.
-    std::ofstream Torn(Path, std::ios::app);
-    Torn << "{\"shard\":3,\"effects\":[0,1";
+  std::vector<std::string> Lines; // The header and two shard records.
+  std::ifstream In(Path);
+  for (std::string L; std::getline(In, L);)
+    Lines.push_back(L);
+  ASSERT_EQ(Lines.size(), 3u);
+  size_t Hash = Lines[2].find("\"hashes\":[\"");
+  ASSERT_NE(Hash, std::string::npos);
+
+  // "" keeps both records and appends the torn write instead.
+  for (std::string BadHash : {"", "-1", "+1", " 1", "0x1"}) {
+    std::string Record = Lines[2];
+    if (!BadHash.empty())
+      Record.replace(Hash + 11, 16, BadHash);
+    std::ofstream(Path) << Lines[0] << '\n' << Lines[1] << '\n' << Record
+                        << '\n'
+                        << (BadHash.empty() ? "{\"shard\":3,\"effects\":[0,1"
+                                            : "");
+    CampaignExecOptions ResumeExec;
+    ResumeExec.ShardSize = 8;
+    ResumeExec.CheckpointPath = Path;
+    ResumeExec.Resume = true;
+    CampaignResult Resumed = runCampaign(Prog, Golden, Plan, ResumeExec);
+    ASSERT_TRUE(Resumed.Error.empty()) << Resumed.Error;
+    EXPECT_FALSE(Resumed.Interrupted);
+    EXPECT_EQ(Resumed.ResumedShards, BadHash.empty() ? 2u : 1u)
+        << "hash '" << BadHash << "'";
+    expectSameResult(Baseline, Resumed);
   }
-  CampaignExecOptions ResumeExec;
-  ResumeExec.ShardSize = 8;
-  ResumeExec.CheckpointPath = Path;
-  ResumeExec.Resume = true;
-  CampaignResult Resumed = runCampaign(Prog, Golden, Plan, ResumeExec);
-  ASSERT_TRUE(Resumed.Error.empty()) << Resumed.Error;
-  EXPECT_FALSE(Resumed.Interrupted);
-  expectSameResult(Baseline, Resumed);
   std::remove(Path.c_str());
 }
 
@@ -555,28 +574,48 @@ TEST(CampaignSampling, CIBoundsContainExhaustiveRateOnAllWorkloads) {
 TEST(CampaignRun, PrunedVerdictsEqualExhaustivePerRepresentative) {
   // Every representative the BEC plan keeps must classify exactly as the
   // exhaustive run at the same (cycle, reg, bit) site: pruning changes
-  // campaign cost, never a verdict.
-  Program Prog = parseAsmOrDie(SmallLoop, "loop");
-  BECAnalysis A = BECAnalysis::run(Prog);
-  Trace Golden = simulate(Prog);
-  std::vector<PlannedRun> ExPlan =
-      planCampaign(A, Golden, PlanKind::Exhaustive);
-  CampaignResult Ex = runCampaign(Prog, Golden, ExPlan);
-  std::map<uint64_t, FaultEffect> BySite;
-  for (size_t I = 0; I < ExPlan.size(); ++I)
-    BySite[(ExPlan[I].AfterCycle << 16) | (uint64_t(ExPlan[I].R) << 8) |
-           ExPlan[I].Bit] = Ex.Effects[I];
+  // campaign cost, never a verdict. The loop runs over its whole trace;
+  // on the first 64 cycles of bitcount and CRC32 the pruned plan must
+  // also need at least 5x fewer runs than the exhaustive one.
+  struct Input {
+    Program Prog;
+    uint64_t Window; ///< Exhaustive window in cycles; 0 = whole trace.
+  };
+  std::vector<Input> Inputs;
+  Inputs.push_back({parseAsmOrDie(SmallLoop, "loop"), 0});
+  for (const char *Name : {"bitcount", "CRC32"})
+    Inputs.push_back({loadWorkload(*findWorkload(Name)), 64});
 
-  std::vector<PlannedRun> BitPlan =
-      planCampaign(A, Golden, PlanKind::BitLevel, Golden.Cycles - 1);
-  ASSERT_FALSE(BitPlan.empty());
-  CampaignResult Bit = runCampaign(Prog, Golden, BitPlan);
-  for (size_t I = 0; I < BitPlan.size(); ++I) {
-    uint64_t Key = (BitPlan[I].AfterCycle << 16) |
-                   (uint64_t(BitPlan[I].R) << 8) | BitPlan[I].Bit;
-    auto It = BySite.find(Key);
-    ASSERT_NE(It, BySite.end());
-    EXPECT_EQ(It->second, Bit.Effects[I]) << "site " << Key;
+  for (const Input &In : Inputs) {
+    BECAnalysis A = BECAnalysis::run(In.Prog);
+    Trace Golden = simulate(In.Prog);
+    uint64_t Window = In.Window ? In.Window : Golden.Cycles;
+    std::vector<PlannedRun> ExPlan =
+        planCampaign(A, Golden, PlanKind::Exhaustive, Window);
+    CampaignResult Ex = runCampaign(In.Prog, Golden, ExPlan);
+    std::map<uint64_t, FaultEffect> BySite;
+    for (size_t I = 0; I < ExPlan.size(); ++I)
+      BySite[(ExPlan[I].AfterCycle << 16) | (uint64_t(ExPlan[I].R) << 8) |
+             ExPlan[I].Bit] = Ex.Effects[I];
+
+    // Segment plans inject *after* the accessing cycle, so the pruned
+    // window is one cycle shorter: every kept site has an exhaustive twin.
+    std::vector<PlannedRun> BitPlan =
+        planCampaign(A, Golden, PlanKind::BitLevel, Window - 1);
+    ASSERT_FALSE(BitPlan.empty()) << In.Prog.Name;
+    CampaignResult Bit = runCampaign(In.Prog, Golden, BitPlan);
+    for (size_t I = 0; I < BitPlan.size(); ++I) {
+      uint64_t Key = (BitPlan[I].AfterCycle << 16) |
+                     (uint64_t(BitPlan[I].R) << 8) | BitPlan[I].Bit;
+      auto It = BySite.find(Key);
+      ASSERT_NE(It, BySite.end()) << In.Prog.Name;
+      EXPECT_EQ(It->second, Bit.Effects[I]) << In.Prog.Name << " site " << Key;
+    }
+    if (In.Window) {
+      EXPECT_GE(ExPlan.size(), 5 * BitPlan.size())
+          << In.Prog.Name << ": pruned " << BitPlan.size() << " of "
+          << ExPlan.size() << " exhaustive runs";
+    }
   }
 }
 

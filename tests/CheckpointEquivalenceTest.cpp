@@ -675,7 +675,7 @@ TEST(CheckpointEquivalence, PrefixCheckpointingCutsSimulatedWorkAtLeast5x) {
   // checkpointing on vs off — identical verdicts, at least 5x less
   // simulation. Asserted on SimulatedCycles (total interpreter steps),
   // which at one thread is deterministic, unlike wall clock on a loaded
-  // CI host; bench_CampaignScale asserts the wall-clock form.
+  // CI host.
   const Workload *W = findWorkload("bitcount");
   ASSERT_NE(W, nullptr);
   Program Prog = loadWorkload(*W);

@@ -504,8 +504,9 @@ TEST(Driver, UsageErrors) {
 /// A flag is valid only with the subcommands (and client methods) that
 /// read it; elsewhere it is a usage error rather than silently ignored.
 /// --prefix-checkpoint tunes the local engine only (becd takes no such
-/// param). Unsigned flags take decimal digits only, and are bounded
-/// before they narrow: a sign or an overflow never wraps.
+/// param). Unsigned flags and the port of a host:port address take
+/// decimal digits only, and are bounded before they narrow: a sign or an
+/// overflow never wraps.
 TEST(Driver, FlagsAreRejectedWhereNoSubcommandReadsThem) {
   expectExits({
       {{"analyze", "--jobs", "4294967296", "--workload", "nonesuch"}, Usage},
@@ -567,6 +568,14 @@ TEST(Driver, FlagsAreRejectedWhereNoSubcommandReadsThem) {
       {{"fuzz", "--budget", "-1", "--count", "1", "--emit-corpus",
         Unwritable}, Usage},
       {{"fuzz", "--count", "-1", "--emit-corpus", Unwritable}, Usage},
+      {{"analyze", "--workload", "bitcount", "--remote",
+        "127.0.0.1:-18446744073709551615"}, Usage},
+      {{"analyze", "--workload", "bitcount", "--remote", "127.0.0.1:+9"},
+       Usage},
+      {{"gateway", "--backends", "127.0.0.1:-18446744073709551615",
+        "--log-file", Unwritable}, Usage},
+      {{"gateway", "--backends", NoServer + ",127.0.0.1:+9", "--log-file",
+        Unwritable}, Usage},
       {{"campaign", "--seed", "18446744073709551615", "--workload",
         "nonesuch"}, Bad},
   });

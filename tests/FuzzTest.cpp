@@ -69,6 +69,12 @@ TEST(FuzzGenerator, GeneratedProgramsAreLegalAndTerminate) {
     EXPECT_EQ(Golden.End, Outcome::Finished) << G.Asm;
     EXPECT_TRUE(Golden.HasReturnValue) << G.Asm;
   }
+  // Legality alone over the first 2000 programs of the seed-1 corpus,
+  // the one `bec fuzz --seed 1` and the CI fuzz smoke draw from.
+  for (uint64_t I = 0; I < 2000; ++I) {
+    GeneratedProgram G = generateProgram(programSeed(1, I));
+    ASSERT_TRUE(G.Error.empty()) << G.Error << "\n" << G.Asm;
+  }
 }
 
 TEST(FuzzGenerator, CorpusCoversAllIdiomsAndWidths) {

@@ -6,7 +6,9 @@
 //    with a typed parse error and the connection closes after the flush;
 //  * flow: a slow reader only stalls its own connection (the loop
 //    buffers and finishes the writes); a half-closed peer still receives
-//    every response for the requests it sent, then EOF;
+//    every response for the requests it sent, then EOF; 1000 idle
+//    connections answer a one-request-each burst with none dropped or
+//    garbled;
 //  * backpressure: admission control answers error 105 `overloaded` when
 //    the worker queue is full, and error 106 `draining` for requests
 //    caught by a graceful drain;
@@ -273,6 +275,37 @@ TEST(EventLoop, HalfClosedPeerStillGetsItsResponses) {
   std::string Line;
   EXPECT_EQ(S.recvLine(Line, serve::MaxFrameBytes, Err),
             serve::Socket::RecvStatus::Eof);
+}
+
+TEST(EventLoop, ThousandIdleConnectionsAnswerOneBurst) {
+  // Connection count is decoupled from thread count: 1000 connections sit
+  // idle on the loop, then each sends one request at once, and every
+  // response arrives whole on its own connection.
+  EventServer::Options O;
+  O.QueueDepth = 2048; // The burst must not meet error 105 `overloaded`.
+  LoopFixture F(O);
+  constexpr size_t Conns = 1000;
+  std::vector<serve::Socket> Socks;
+  for (size_t I = 0; I < Conns; ++I)
+    Socks.push_back(F.connectRaw());
+  std::string Err;
+  for (size_t I = 0; I < Conns; ++I)
+    ASSERT_TRUE(
+        Socks[I].sendAll(serve::makeRequestFrame(I + 1, "version", ""), Err))
+        << Err;
+  unsigned Dropped = 0, Garbled = 0;
+  for (size_t I = 0; I < Conns; ++I) {
+    std::string Line;
+    if (Socks[I].recvLine(Line, serve::MaxFrameBytes, Err) !=
+        serve::Socket::RecvStatus::Line) {
+      ++Dropped;
+      continue;
+    }
+    std::optional<serve::Response> R = serve::parseResponseFrame(Line, Err);
+    Garbled += !R || R->IsError || R->Id != I + 1;
+  }
+  EXPECT_EQ(Dropped, 0u);
+  EXPECT_EQ(Garbled, 0u);
 }
 
 //===----------------------------------------------------------------------===//

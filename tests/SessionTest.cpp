@@ -338,7 +338,11 @@ TEST(SessionEquivalence, HardenColdEqualsWarm) {
   std::vector<double> Budgets = O.Budgets;
   auto [Cold, Warm] = renderBoth<HardenCmdQuery>(
       O, [&](const AnalysisSession &, const auto &Rs) {
-        return renderHardenJson(allNames(), Rs, Budgets);
+        std::string Out = renderHardenJson(allNames(), Rs, Budgets);
+        for (const auto &R : Rs) // The hardened programs, not only counts.
+          for (const HardenPoint &P : R->Points)
+            Out += P.Harden.HP.Prog.toString();
+        return Out;
       });
   EXPECT_EQ(Cold, Warm);
   EXPECT_NE(Cold.find("\"residual_vulnerability\":"), std::string::npos);

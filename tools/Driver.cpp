@@ -219,20 +219,6 @@ const Subcommand *subcommandOfMethod(std::string_view Method) {
   return nullptr;
 }
 
-/// Parses "host:port" (the --remote spelling). False on bad input.
-bool parseHostPort(const std::string &S, std::string &Host, uint16_t &Port) {
-  size_t Colon = S.rfind(':');
-  if (Colon == std::string::npos || Colon == 0 || Colon + 1 >= S.size())
-    return false;
-  char *End = nullptr;
-  unsigned long P = std::strtoul(S.c_str() + Colon + 1, &End, 10);
-  if (End != S.c_str() + S.size() || P == 0 || P > 65535)
-    return false;
-  Host = S.substr(0, Colon);
-  Port = static_cast<uint16_t>(P);
-  return true;
-}
-
 /// Parses a string of decimal digits; nullopt on anything else. A sign,
 /// a space or a value past 2^64-1 is rejected, never wrapped or
 /// saturated.
@@ -408,7 +394,7 @@ std::string storePrefixCheckpoint(DriverOptions &O, const std::string &V) {
 }
 
 std::string storeRemote(DriverOptions &O, const std::string &V) {
-  if (!parseHostPort(V, O.RemoteHost, O.RemotePort))
+  if (!serve::splitHostPort(V, O.RemoteHost, O.RemotePort))
     return "host:port";
   O.Remote = true;
   return "";
@@ -418,7 +404,7 @@ std::string storeBackends(DriverOptions &O, const std::string &V) {
   for (const std::string &Item : commaList(V)) {
     std::string Host;
     uint16_t Port = 0;
-    if (!parseHostPort(Item, Host, Port))
+    if (!serve::splitHostPort(Item, Host, Port))
       return "comma-separated host:port entries";
     O.GatewayBackends.push_back(Item);
   }
@@ -530,8 +516,9 @@ const std::vector<Flag> &flags() {
       {"--format", "KIND", Targeted | of(C::Fuzz), Targeted,
        choice<OutputFormat>(&D::Format, {{"text", OutputFormat::Text},
                                          {"json", OutputFormat::Json}}),
-       "output format of any subcommand: text | json\n"
-       "(default text)."},
+       "output format of analyze, campaign, schedule,\n"
+       "harden, report and fuzz, and of their `bec client`\n"
+       "methods: text | json (default text)."},
       {"--max-cycles", "N", of(C::Campaign, C::Report, C::Fuzz),
        of(C::Campaign, C::Report), number(&D::MaxCycles),
        "Truncate campaign/validation windows to N cycles\n"

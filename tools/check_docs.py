@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Documentation link checker (CI: the `docs` job).
 
-Two gates over the repository's markdown:
+Three gates over the repository's markdown:
 
   1. every relative link in *.md / docs/*.md resolves to a real file
      (fragments are stripped; absolute http(s)/mailto links are not
      fetched);
   2. every file under docs/ is reachable from README.md by following
-     relative markdown links — no orphaned documentation.
+     relative markdown links — no orphaned documentation;
+  3. every `bench_<Name>` in markdown (CHANGES.md, the history, aside)
+     is a target in bench/CMakeLists.txt — no retired bench is cited.
 
-Exit code 0 = clean, 1 = broken links or orphans (each printed).
+Exit code 0 = clean, 1 = any problem (each printed).
 """
 
 import os
@@ -20,6 +22,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # [text](target) — target up to the first ')' or whitespace.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# Bench targets are CamelCase; `.bench_build` is a directory, not one.
+BENCH_RE = re.compile(r"\bbench_([A-Z]\w*)")
 
 
 def md_files():
@@ -55,6 +59,23 @@ def resolve(relpath, target):
     return os.path.relpath(os.path.normpath(os.path.join(base, target)), REPO)
 
 
+def stale_bench_names():
+    """(file, name) for each bench_<Name> that names no bench target."""
+    cmake = open(os.path.join(REPO, "bench", "CMakeLists.txt")).read()
+    targets = re.search(r"BEC_BENCH_BINARIES(.*?)\)", cmake, re.S)[1].split()
+    stale = set()
+    for root, dirs, files in os.walk(REPO):
+        dirs[:] = [d for d in dirs
+                   if d != ".git" and not d.startswith(("build", ".bench"))]
+        for f in files:
+            rel = os.path.relpath(os.path.join(root, f), REPO)
+            if f.endswith(".md") and rel != "CHANGES.md":
+                text = open(os.path.join(root, f), encoding="utf-8").read()
+                stale |= {(rel, n) for n in BENCH_RE.findall(text)
+                          if n not in targets}
+    return sorted(stale)
+
+
 def main():
     failures = []
 
@@ -86,6 +107,10 @@ def main():
         if f.startswith("docs") and f not in reachable:
             failures.append(
                 f"{f}: not reachable from README.md via markdown links")
+
+    # Gate 3: bench_<Name> citations name live bench targets.
+    for f, name in stale_bench_names():
+        failures.append(f"{f}: bench_{name} is no bench/CMakeLists.txt target")
 
     for f in failures:
         print(f"check_docs: {f}", file=sys.stderr)
