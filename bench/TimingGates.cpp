@@ -18,9 +18,11 @@
 ///     does not flap while a lock or shared cache line (2x, not 1.05x)
 ///     still fails.
 ///   * engine scaling: 16 engine threads run the pruned plan >= 6x
-///     faster than one (best of bitcount and CRC32). Only on hosts with
-///     >= 8 cores: on fewer, the assert would measure the scheduler of
-///     an oversubscribed host, not the engine.
+///     faster than one (best of bitcount and CRC32, each over its full
+///     golden trace with prefix checkpoints off, so the 1-thread leg
+///     runs for seconds and thread start-up is noise). Only on hosts
+///     with >= 8 cores: on fewer, the assert would measure the scheduler
+///     of an oversubscribed host, not the engine.
 ///   * serve: a live event-loop becd at 1 / 4 / 16 clients. Warm
 ///     requests (bundled workloads, every one a cross-client session
 ///     cache hit) are >= 5x faster than cold ones (a new program per
@@ -150,14 +152,14 @@ void engineScalingGate(AnalysisSession &S, unsigned Cores) {
     AnalysisSession::TargetId T = *S.addWorkload(Name);
     PlanOptions PO;
     PO.Kind = PlanKind::BitLevel;
-    PO.MaxCycles = 63;
     PO.PrefixCheckpoint = false;
     CampaignPlan Plan = planFor(S, T, PO);
     double One = campaignSeconds(S, T, Plan, 1);
     double Sixteen = campaignSeconds(S, T, Plan, 16);
     double Scaling = Sixteen > 0 ? One / Sixteen : 0;
-    std::printf("engine scaling: %s pruned, 16 vs 1 threads: %.1fx\n", Name,
-                Scaling);
+    std::printf("engine scaling: %s pruned, %zu runs, 1 thread %.2f s, "
+                "16 vs 1 threads: %.1fx\n",
+                Name, Plan.runs().size(), One, Scaling);
     Best = std::max(Best, Scaling);
   }
   if (Best < 6.0)

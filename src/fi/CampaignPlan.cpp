@@ -2,6 +2,7 @@
 
 #include "fi/CampaignPlan.h"
 
+#include "obs/Trace.h"
 #include "sim/Trace.h"
 #include "support/Xoshiro.h"
 
@@ -143,6 +144,9 @@ uint64_t bec::autoCheckpointPeriod(uint64_t TraceCycles, uint64_t PlanRuns) {
 
 CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
                                  const PlanOptions &O) {
+  // Named apart from perfbench's "fi.plan" layer span, which wraps this
+  // call: a nested span of the same name would split that layer's time.
+  obs::Span SpanBuild("fi.plan.build");
   CampaignPlan P;
   P.Opts = O;
   P.Runs = planCampaign(A, Golden, O.Kind, O.MaxCycles);
@@ -171,6 +175,8 @@ CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
     for (uint32_t PC = 0; PC < A.program().size(); ++PC)
       P.LiveIn[PC] = L.liveInMask(PC);
   }
+  SpanBuild.arg("population", P.Population);
+  SpanBuild.arg("runs", P.Runs.size());
   return P;
 }
 

@@ -186,7 +186,8 @@ struct EngineState {
   std::atomic<uint64_t> SplicedRuns{0};
   std::atomic<uint64_t> InjectionSplices{0};
   std::atomic<uint64_t> SimCycles{0};
-  /// Sums over the workers' suffix memos, taken as each worker exits.
+  /// Sums over the workers' suffix memos, taken as each worker exits:
+  /// keys recorded, and the rings' peak heap bytes.
   std::atomic<uint64_t> MemoEntries{0};
   std::atomic<uint64_t> MemoBytes{0};
 
@@ -242,26 +243,19 @@ uint64_t elapsedUs(std::chrono::steady_clock::time_point Since) {
   return Us < 0 ? 0 : uint64_t(Us);
 }
 
-/// Convergence-memo window: continuation keys are computed, probed and
-/// recorded only at the first MemoWindow checkpoint boundaries after a
-/// run's injection. Runs that reconverge with each other almost always
-/// do so within a few boundaries; keys taken deeper are nearly never hit
-/// again but fill the table. Past the window only the golden check runs.
-constexpr size_t MemoWindow = 16;
-
 /// A worker's interpreters, key buffer and suffix memo, kept across its
 /// shards: the walker advancing along the golden run, the fork buffer
 /// each injected run is synced into (syncFrom copies only the memory
 /// lines either side wrote since the last fork), the keys a run passes
 /// before it completes, and the continuations this worker's runs have
-/// settled.
+/// settled at the boundaries still ahead of its walker.
 /// Memo verdicts are pure functions of their keys, so which worker
 /// settled a key cannot change a result; a private memo needs no lock.
 struct WorkerBuffers {
   std::optional<Interpreter> Walker;
   std::optional<Interpreter> Fork;
-  std::vector<SuffixKey> Visited;
-  SuffixMemo Memo;
+  std::vector<BoundaryKey> Visited;
+  SuffixMemoRing Memo;
 };
 
 /// Executes one shard: advances this worker's walker to each injection
@@ -291,6 +285,9 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     obs::Span SpanRebuild("fi.snapshot.rebuild",
                           {{"first_cycle", FirstCycle}});
     Walker.emplace(*St.Prog, St.RunOpts);
+    // The memo's buckets follow the walker: those of the cycles it left
+    // behind would only miss this shard's earlier boundaries.
+    Buf.Memo.reset();
     if (const MachineState *CS = St.nearestCheckpointAtOrBefore(FirstCycle)) {
       auto RestoreStart = std::chrono::steady_clock::now();
       Walker->restore(*CS);
@@ -314,7 +311,7 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     WS.RebuildUs += RebuildUs;
   }
   uint64_t WalkerFrom = Walker->cycle();
-  std::vector<SuffixKey> &Visited = Buf.Visited;
+  std::vector<BoundaryKey> &Visited = Buf.Visited;
   for (uint64_t K = Lo; K < Hi; ++K) {
     const PlannedRun &Run = (*St.Runs)[K];
     Walker->runToCycle(Run.AfterCycle);
@@ -334,17 +331,18 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
       Interpreter &Forked = *Buf.Fork;
       Forked.machine().flipRegBit(Run.R, Run.Bit);
       // Convergence splicing: pause the faulty run at each checkpoint
-      // cycle. A run that has reconverged with the golden checkpoint
-      // there settles to the golden suffix. Within the memo window it is
-      // also keyed (suffixStateKey); a hit in this worker's memo — an
-      // earlier run of the same dynamic fault class — settles it too.
+      // cycle of its memo window. A run that has reconverged with the
+      // golden checkpoint there settles to the golden suffix; otherwise
+      // it is keyed (suffixStateKey), and a hit in this worker's memo —
+      // an earlier run of the same dynamic fault class — settles it too.
       // Either way the suffix is not executed. Every key the run passed
       // on the way leads to the same end, so the memo learns them all,
-      // spliced or not.
+      // spliced or not. Past the window the run replays to its end.
       std::optional<SettledSuffix> Hit;
       Visited.clear();
       size_t First = St.firstCheckpointAtOrAfter(Run.AfterCycle);
-      for (size_t Ck = First; Ck < St.Ckpts.size(); ++Ck) {
+      size_t Last = std::min(St.Ckpts.size(), First + MemoWindow);
+      for (size_t Ck = First; Ck < Last; ++Ck) {
         Forked.runToCycle(St.Ckpts[Ck].CycleCount);
         if (Forked.done())
           break;
@@ -353,12 +351,10 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
           ++WS.GoldenSplices;
           break;
         }
-        if (Ck - First >= MemoWindow)
-          continue;
-        SuffixKey Key = suffixStateKey(Forked.cycle(), Forked.pc(),
-                                       Forked.fullHashState(),
-                                       Forked.obsHashState(),
-                                       Forked.machine(), St.LiveIn);
+        BoundaryKey Key{Ck, suffixStateKey(Forked.cycle(), Forked.pc(),
+                                           Forked.fullHashState(),
+                                           Forked.obsHashState(),
+                                           Forked.machine(), St.LiveIn)};
         Hit = Buf.Memo.find(Key);
         if (Hit) {
           ++WS.MemoSplices;
@@ -487,7 +483,7 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   St.InjectionSplices.fetch_add(WS.InjectionSplices,
                                 std::memory_order_relaxed);
   St.SimCycles.fetch_add(WS.SimCycles, std::memory_order_relaxed);
-  St.MemoEntries.fetch_add(Buf.Memo.size(), std::memory_order_relaxed);
+  St.MemoEntries.fetch_add(Buf.Memo.recorded(), std::memory_order_relaxed);
   St.MemoBytes.fetch_add(Buf.Memo.byteSize(), std::memory_order_relaxed);
   SpanWorker.arg("runs", WS.Runs);
   SpanWorker.arg("shards", WS.Shards);
@@ -655,8 +651,9 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   }
 
   {
-    // Covers the workers, during which their suffix memos grow; closes
-    // with the memos' final size summed over workers (keys, heap bytes).
+    // Covers the workers, during which their suffix memos fill; closes
+    // with the keys they recorded and their peak heap bytes, summed over
+    // workers.
     static const obs::Counter CtrMemoEntries("fi.memo.entries");
     obs::Span SpanMemo(St.PrefixCk ? "fi.memo" : "");
     if (Workers <= 1 || Pending.empty()) {

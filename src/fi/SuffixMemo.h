@@ -3,9 +3,10 @@
 /// \file
 /// The two data structures behind the engine's convergence splicing
 /// (docs/campaigns.md, "Prefix checkpointing"): the key that names an
-/// in-flight run's continuation at a checkpoint boundary, and the table
-/// that maps keys to how their continuation ends. Internal to src/fi;
-/// the engine is the only user, SuffixMemoTest the only other reader.
+/// in-flight run's continuation at a checkpoint boundary, and the ring of
+/// per-boundary tables that maps keys to how their continuation ends.
+/// Internal to src/fi; the engine is the only user, SuffixMemoTest and
+/// CheckpointEquivalenceTest the only other readers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,8 @@
 #include "sim/Machine.h"
 #include "sim/Trace.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -121,14 +124,14 @@ inline SuffixKey suffixStateKey(uint64_t Cycle, uint32_t PC,
   return H.value();
 }
 
-/// Suffix memo: continuation key -> how that continuation ends. A flat
-/// open-addressing table (linear probing, power-of-two capacity, grown
-/// at 3/4 load). Each slot holds the full 128-bit key and a 32-bit
-/// reference into a vector of settled suffixes; reference 0 marks an
-/// empty slot, so every key value — all-zero included — is storable.
-/// A run settles all its new keys with one suffix, stored once. The
-/// first insert of a key wins. Not thread-safe: each engine worker owns
-/// one memo.
+/// Suffix memo table: continuation key -> how that continuation ends. A
+/// flat open-addressing table (linear probing, power-of-two capacity
+/// starting small, grown at 3/4 load). Each slot holds the full 128-bit
+/// key and a 32-bit reference into a vector of settled suffixes;
+/// reference 0 marks an empty slot, so every key value — all-zero
+/// included — is storable. One insert settles all its new keys with one
+/// suffix, stored once. The first insert of a key wins. Not
+/// thread-safe; the engine uses it as the bucket of a SuffixMemoRing.
 class SuffixMemo {
 public:
   std::optional<SettledSuffix> find(const SuffixKey &K) const {
@@ -144,8 +147,9 @@ public:
   }
 
   /// Settles every key in \p Keys with \p S; keys already present keep
-  /// their first value.
-  void insert(std::span<const SuffixKey> Keys, const SettledSuffix &S) {
+  /// their first value. Returns how many keys were new.
+  size_t insert(std::span<const SuffixKey> Keys, const SettledSuffix &S) {
+    size_t Before = Count;
     uint32_t Ref = 0;
     for (const SuffixKey &K : Keys) {
       if ((Count + 1) * 4 > Slots.size() * 3)
@@ -160,6 +164,16 @@ public:
       Dst = {K, Ref};
       ++Count;
     }
+    return Count - Before;
+  }
+
+  /// Forgets every key and suffix but keeps both allocations.
+  void clear() {
+    if (Count == 0)
+      return;
+    std::fill(Slots.begin(), Slots.end(), Slot{});
+    Values.clear();
+    Count = 0;
   }
 
   /// Keys held.
@@ -186,7 +200,7 @@ private:
 
   void grow() {
     std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(Old.empty() ? 1024 : Old.size() * 2, Slot{});
+    Slots.assign(Old.empty() ? 64 : Old.size() * 2, Slot{});
     Mask = Slots.size() - 1;
     for (const Slot &S : Old)
       if (S.Ref != 0)
@@ -197,6 +211,101 @@ private:
   size_t Mask = 0;
   size_t Count = 0;
   std::vector<SettledSuffix> Values;
+};
+
+/// Convergence-memo window: a run is paused, golden-checked, keyed and
+/// probed only at the first MemoWindow checkpoint boundaries at or after
+/// its injection. Runs that reconverge, with the golden run or with each
+/// other, almost always do so within a few boundaries; past the window
+/// the run replays to its end in one go.
+constexpr size_t MemoWindow = 16;
+
+/// A continuation key and the index of the checkpoint boundary it was
+/// taken at.
+struct BoundaryKey {
+  size_t Ck = 0;
+  SuffixKey Key;
+};
+
+/// A worker's suffix memo: MemoWindow small tables, one per boundary of
+/// the window. Bucket Ck % MemoWindow holds only the keys taken at
+/// boundary Ck and is tagged with Ck. A key absorbs its cycle, so keys
+/// of different boundaries never match, and a worker runs its
+/// injections in nondecreasing cycle order: once a run asks for boundary
+/// Ck, no later run's window reaches back to Ck - MemoWindow. So a bucket
+/// whose tag is older than the boundary asked for is cleared (keeping
+/// its allocation) and retagged, and the memo's size is bounded by the
+/// window, not by the plan. A bucket whose tag is newer is a miss and
+/// takes no insert: a probe behind the ring never evicts keys later runs
+/// can still hit. (A worker whose walker moves backwards, to a stolen
+/// shard behind it, resets the ring instead.) Not thread-safe: each
+/// engine worker owns one ring.
+class SuffixMemoRing {
+public:
+  SuffixMemoRing() { reset(); }
+
+  /// Forgets every key, for a walker that moves backwards. An empty
+  /// bucket tagged with its own index is never newer than a boundary
+  /// that maps to it.
+  void reset() {
+    for (size_t I = 0; I < MemoWindow; ++I) {
+      Buckets[I].Table.clear();
+      Buckets[I].Tag = I;
+    }
+  }
+
+  std::optional<SettledSuffix> find(const BoundaryKey &K) {
+    const SuffixMemo *Table = table(K.Ck);
+    return Table ? Table->find(K.Key) : std::nullopt;
+  }
+
+  /// Settles every key in \p Keys with \p S, each in its boundary's
+  /// bucket.
+  void insert(std::span<const BoundaryKey> Keys, const SettledSuffix &S) {
+    for (const BoundaryKey &K : Keys)
+      if (SuffixMemo *Table = table(K.Ck))
+        Recorded += Table->insert(std::span(&K.Key, 1), S);
+  }
+
+  /// Keys recorded over the ring's life, retired ones included.
+  uint64_t recorded() const { return Recorded; }
+  /// Keys held now.
+  size_t size() const {
+    size_t N = 0;
+    for (const Bucket &B : Buckets)
+      N += B.Table.size();
+    return N;
+  }
+  /// Heap bytes held by the buckets. Buckets keep their allocations when
+  /// retagged, so this is also the ring's peak.
+  uint64_t byteSize() const {
+    uint64_t N = 0;
+    for (const Bucket &B : Buckets)
+      N += B.Table.byteSize();
+    return N;
+  }
+
+private:
+  struct Bucket {
+    size_t Tag = 0;
+    SuffixMemo Table;
+  };
+
+  /// Boundary \p Ck's table, retagged first if it held an older
+  /// boundary; null when it holds a newer one.
+  SuffixMemo *table(size_t Ck) {
+    Bucket &B = Buckets[Ck % MemoWindow];
+    if (B.Tag > Ck)
+      return nullptr;
+    if (B.Tag < Ck) {
+      B.Table.clear();
+      B.Tag = Ck;
+    }
+    return &B.Table;
+  }
+
+  std::array<Bucket, MemoWindow> Buckets;
+  uint64_t Recorded = 0;
 };
 
 } // namespace bec

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -370,9 +371,9 @@ bool reconvergedWith(const Interpreter &I, const MachineState &G,
 TEST(CheckpointEquivalence, ConvergencePastTheMemoWindowMatchesOff) {
   // With a snapshot every cycle the engine's memo window (16 boundaries)
   // spans 16 cycles after injection. Exhaustive bitcount over 64 cycles
-  // has runs that first reconverge with the golden run later than that;
-  // past the window only the golden check can splice them, and the
-  // result must still equal full replay.
+  // has runs that first reconverge with an earlier run later than that;
+  // past the window such a run is neither checked nor keyed but replays
+  // to its end, and the result must still equal full replay.
   const Workload *W = findWorkload("bitcount");
   ASSERT_NE(W, nullptr);
   Program Prog = loadWorkload(*W);
@@ -434,6 +435,35 @@ TEST(CheckpointEquivalence, ConvergencePastTheMemoWindowMatchesOff) {
   CampaignResult Threaded = runCampaign(Prog, Golden, OnPlan, Stealing);
   ASSERT_TRUE(Threaded.Error.empty()) << Threaded.Error;
   expectSameResult(ROff, Threaded);
+}
+
+TEST(CheckpointEquivalence, RetiringMemoBucketsLosesNoHitAtOneThread) {
+  // A worker's memo keeps only the boundaries of the current window, one
+  // bucket each, and retires a bucket once no later run can reach its
+  // boundary. At one thread that loses no hit: exhaustive bitcount over
+  // 1000 cycles splices and simulates exactly what a memo that kept
+  // every key did (the counts below were recorded with one).
+  const Workload *W = findWorkload("bitcount");
+  ASSERT_NE(W, nullptr);
+  Program Prog = loadWorkload(*W);
+  BECAnalysis A = BECAnalysis::run(Prog);
+  Trace Golden = simulate(Prog);
+
+  PlanOptions PO;
+  PO.Kind = PlanKind::Exhaustive;
+  PO.MaxCycles = 1000;
+  CampaignExecOptions Serial;
+  Serial.Threads = 1;
+  CampaignResult R =
+      runCampaign(Prog, Golden, CampaignPlan::build(A, Golden, PO), Serial);
+  ASSERT_TRUE(R.Error.empty()) << R.Error;
+  EXPECT_EQ(R.Runs, 1024000u);
+  std::array<uint64_t, NumFaultEffects> Effects = {739251, 0, 222089, 62660, 0};
+  EXPECT_EQ(R.EffectCounts, Effects);
+  EXPECT_EQ(R.DistinctTraces, 544u);
+  EXPECT_EQ(R.InjectionSplices, 737088u);
+  EXPECT_EQ(R.SplicedRuns, 1018845u);
+  EXPECT_EQ(R.SimulatedCycles, 7847701u);
 }
 
 TEST(CheckpointEquivalence, GoldenCheckComparesOnlyLiveRegisters) {

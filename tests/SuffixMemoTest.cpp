@@ -10,7 +10,11 @@
 //    sharing a low word);
 //  * the key separates exactly what the continuation can depend on: it
 //    moves with every live register and either trace cursor, and it
-//    ignores registers the live-in mask rules out.
+//    ignores registers the live-in mask rules out;
+//  * the ring of per-boundary buckets the engine keeps per worker holds
+//    one boundary per bucket: a bucket asked for a later boundary forgets
+//    its old keys, and one asked for an older boundary than its own
+//    neither answers nor learns.
 //
 //===----------------------------------------------------------------------===//
 
@@ -171,6 +175,68 @@ TEST(SuffixMemoTest, KeyIgnoresRegistersOutsideLiveIn) {
   Regs[11] = 0;
   EXPECT_NE(suffixStateKey(9, PC, 1, 2, machineWith(Regs), &Wider),
             suffixStateKey(9, PC, 1, 2, machineWith(Regs), &LiveIn));
+}
+
+TEST(SuffixMemoTest, RingHoldsOneBoundaryPerBucket) {
+  SuffixMemoRing Ring;
+  // A full window of boundaries, each in its own bucket, all live.
+  std::vector<BoundaryKey> Window;
+  for (size_t Ck = 5; Ck < 5 + MemoWindow; ++Ck)
+    Window.push_back({Ck, {Ck * 0x9e3779b97f4a7c15ull, Ck}});
+  Ring.insert(Window, suffixNo(1));
+  EXPECT_EQ(Ring.size(), MemoWindow);
+  EXPECT_EQ(Ring.recorded(), MemoWindow);
+  for (const BoundaryKey &K : Window)
+    expectSame(Ring.find(K), suffixNo(1));
+  // The same key taken at another boundary is another continuation.
+  EXPECT_FALSE(Ring.find({6, Window[0].Key}).has_value());
+}
+
+TEST(SuffixMemoTest, RetaggedBucketForgetsOldKeys) {
+  SuffixMemoRing Ring;
+  const size_t Old = 3, Later = Old + 2 * MemoWindow;
+  std::vector<BoundaryKey> Keys;
+  for (uint64_t I = 0; I < 500; ++I)
+    Keys.push_back({Old, {I * 0x9e3779b97f4a7c15ull + 1, I}});
+  Ring.insert(Keys, suffixNo(7));
+  ASSERT_EQ(Ring.size(), Keys.size());
+  uint64_t Bytes = Ring.byteSize();
+  // Asking for a later boundary of the same bucket retags it: no old key
+  // answers any more, whether asked at the old boundary or the new one.
+  EXPECT_FALSE(Ring.find({Later, Keys[0].Key}).has_value());
+  EXPECT_EQ(Ring.size(), 0u);
+  for (const BoundaryKey &K : Keys) {
+    EXPECT_FALSE(Ring.find(K).has_value());
+    EXPECT_FALSE(Ring.find({Later, K.Key}).has_value());
+  }
+  // The allocation is kept for the new boundary's keys.
+  EXPECT_EQ(Ring.byteSize(), Bytes);
+  Ring.insert(std::vector<BoundaryKey>{{Later, Keys[1].Key}}, suffixNo(8));
+  expectSame(Ring.find({Later, Keys[1].Key}), suffixNo(8));
+  EXPECT_EQ(Ring.size(), 1u);
+  EXPECT_EQ(Ring.recorded(), Keys.size() + 1);
+  EXPECT_EQ(Ring.byteSize(), Bytes);
+}
+
+TEST(SuffixMemoTest, ProbeOlderThanItsBucketMissesAndInsertsNothing) {
+  SuffixMemoRing Ring;
+  const size_t Newer = 40, Older = Newer - MemoWindow;
+  SuffixKey A{11, 12}, B{13, 14};
+  Ring.insert(std::vector<BoundaryKey>{{Newer, A}}, suffixNo(1));
+  // Boundary Older maps to the same bucket, which holds Newer: a miss,
+  // even for A, and the bucket keeps its keys.
+  EXPECT_FALSE(Ring.find({Older, A}).has_value());
+  Ring.insert(std::vector<BoundaryKey>{{Older, A}, {Older, B}}, suffixNo(2));
+  EXPECT_FALSE(Ring.find({Older, B}).has_value());
+  EXPECT_EQ(Ring.size(), 1u);
+  EXPECT_EQ(Ring.recorded(), 1u);
+  expectSame(Ring.find({Newer, A}), suffixNo(1));
+  EXPECT_FALSE(Ring.find({Newer, B}).has_value());
+  // A reset forgets every key and accepts any boundary again.
+  Ring.reset();
+  EXPECT_EQ(Ring.size(), 0u);
+  Ring.insert(std::vector<BoundaryKey>{{Older, B}}, suffixNo(3));
+  expectSame(Ring.find({Older, B}), suffixNo(3));
 }
 
 } // namespace
