@@ -152,18 +152,18 @@ bool meetInto(RegState &Dst, const RegState &Src) {
 }
 
 /// The blocks reachable from \p Entry, in reverse postorder.
-std::vector<uint32_t> reversePostorder(const std::vector<BasicBlock> &Blocks,
-                                       uint32_t Entry) {
+std::vector<uint32_t> reversePostorder(const Program &Prog, uint32_t Entry) {
   std::vector<uint32_t> Order;
-  std::vector<bool> Seen(Blocks.size(), false);
+  std::vector<bool> Seen(Prog.blocks().size(), false);
   // Depth-first search; each frame is (block, next successor slot).
   std::vector<std::pair<uint32_t, uint32_t>> Stack = {{Entry, 0}};
   Seen[Entry] = true;
   while (!Stack.empty()) {
     auto [B, Slot] = Stack.back();
-    if (Slot < Blocks[B].Succs.size()) {
+    std::span<const uint32_t> Succs = Prog.blockSuccs(B);
+    if (Slot < Succs.size()) {
       ++Stack.back().second;
-      uint32_t S = Blocks[B].Succs[Slot];
+      uint32_t S = Succs[Slot];
       if (!Seen[S]) {
         Seen[S] = true;
         Stack.push_back({S, 0});
@@ -196,7 +196,7 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
   // blocks unreachable in the CFG get no number and are never executable.
   const std::vector<BasicBlock> &Blocks = Prog.blocks();
   std::vector<uint32_t> Order =
-      reversePostorder(Blocks, Prog.blockOf(Prog.Entry));
+      reversePostorder(Prog, Prog.blockOf(Prog.Entry));
   std::vector<uint32_t> RpoIndex(Blocks.size(), 0);
   for (uint32_t Idx = 0; Idx < Order.size(); ++Idx)
     RpoIndex[Order[Idx]] = Idx;
@@ -230,6 +230,7 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
     // Transfer through the block. Terminators write no register, so S is
     // also the state the terminator reads.
     const BasicBlock &BB = Blocks[Order[Idx]];
+    std::span<const uint32_t> Succs = Prog.blockSuccs(Order[Idx]);
     S = EntryOf[Idx];
     for (uint32_t P = BB.First; P <= BB.Last; ++P) {
       const Instruction &I = Prog.instr(P);
@@ -242,15 +243,15 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
     // the target *is* the fallthrough, in which case there is one slot).
     const Instruction &Term = Prog.instr(BB.Last);
     bool TakenFeasible = true, FallFeasible = true;
-    if (isConditionalBranch(Term.Op) && BB.Succs.size() == 2) {
+    if (isConditionalBranch(Term.Op) && Succs.size() == 2) {
       BitValue Cond = evalBranch(Term, S, Width);
       TakenFeasible = Cond != BitValue::Zero;
       FallFeasible = Cond != BitValue::One;
     }
-    for (uint32_t Slot = 0; Slot < BB.Succs.size(); ++Slot) {
+    for (uint32_t Slot = 0; Slot < Succs.size(); ++Slot) {
       if (!(Slot == 0 ? FallFeasible : TakenFeasible))
         continue;
-      uint32_t T = RpoIndex[BB.Succs[Slot]];
+      uint32_t T = RpoIndex[Succs[Slot]];
       // A first edge always changes the target: x0 is never Bottom in S.
       if (meetInto(EntryOf[T], S) && !Queued[T]) {
         Reached[T] = Queued[T] = true;

@@ -186,8 +186,9 @@ bec::findSinkCandidates(const HardenedProgram &HP,
   const Program &Prog = HP.Prog;
   uint32_t Protected = HP.origRegMask();
   std::vector<SinkCandidate> Out;
+  BlockDAGBuilder Builder;
   for (const BasicBlock &B : Prog.blocks()) {
-    BlockDAG DAG = buildBlockDAG(Prog, B);
+    const BlockDAG &DAG = Builder.build(Prog, B);
     for (uint32_t P = B.First + 1; P <= B.Last; ++P) {
       if (HP.isHardeningInstr(P) || DefScore[P] == 0)
         continue;
@@ -206,7 +207,7 @@ bec::findSinkCandidates(const HardenedProgram &HP,
       // enough: transitive constraints pass through a direct edge into
       // the region.
       bool Blocked = false;
-      for (uint32_t S : DAG.Succs[P - B.First])
+      for (uint32_t S : DAG.succs(P - B.First))
         if (B.First + S < To) {
           Blocked = true;
           break;

@@ -37,6 +37,8 @@ struct Instruction {
   /// Source line in the assembly text (0 when built programmatically).
   uint32_t Line = 0;
 
+  bool operator==(const Instruction &) const = default;
+
   /// True if this instruction writes a register (excluding writes to x0,
   /// which are architectural no-ops but still *count* as a write for the
   /// data-flow model: they kill nothing and produce nothing).

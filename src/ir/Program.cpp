@@ -11,39 +11,37 @@ using namespace bec;
 
 void Program::buildCFG() {
   uint32_t N = size();
-  InstrSuccs.assign(N, {});
-  InstrPreds.assign(N, {});
+  InstrSuccs.clear();
+  BlockSuccs.clear();
   BlockOf.assign(N, 0);
   Reachable.assign(N, false);
   BlockList.clear();
-  if (N == 0)
-    return;
 
-  // Instruction-level edges.
+  // Instruction-level edges, one row per instruction; the predecessor rows
+  // are their transpose.
+  auto AddEdge = [&](uint32_t Succ) {
+    assert(Succ < N && "branch target out of range");
+    InstrSuccs.Edges.push_back(Succ);
+  };
   for (uint32_t P = 0; P < N; ++P) {
     const Instruction &I = Instrs[P];
-    auto AddEdge = [&](uint32_t Succ) {
-      assert(Succ < N && "branch target out of range");
-      InstrSuccs[P].push_back(Succ);
-      InstrPreds[Succ].push_back(P);
-    };
-    if (isHalt(I.Op))
-      continue;
     if (I.Op == Opcode::J) {
       AddEdge(static_cast<uint32_t>(I.Target));
-      continue;
-    }
-    if (isConditionalBranch(I.Op)) {
+    } else if (isConditionalBranch(I.Op)) {
       // Fallthrough first, then the taken target (deterministic order).
       assert(P + 1 < N && "conditional branch falls off the program");
       AddEdge(P + 1);
       if (static_cast<uint32_t>(I.Target) != P + 1)
         AddEdge(static_cast<uint32_t>(I.Target));
-      continue;
+    } else if (!isHalt(I.Op)) {
+      assert(P + 1 < N && "non-terminator falls off the program");
+      AddEdge(P + 1);
     }
-    assert(P + 1 < N && "non-terminator falls off the program");
-    AddEdge(P + 1);
+    InstrSuccs.endRow();
   }
+  InstrPreds.transposeOf(InstrSuccs);
+  if (N == 0)
+    return;
 
   // Reachability from the entry.
   std::vector<uint32_t> Worklist = {Entry};
@@ -51,7 +49,7 @@ void Program::buildCFG() {
   while (!Worklist.empty()) {
     uint32_t P = Worklist.back();
     Worklist.pop_back();
-    for (uint32_t S : InstrSuccs[P])
+    for (uint32_t S : succs(P))
       if (!Reachable[S]) {
         Reachable[S] = true;
         Worklist.push_back(S);
@@ -80,12 +78,10 @@ void Program::buildCFG() {
     BlockOf[P] = static_cast<uint32_t>(BlockList.size()) - 1;
     BlockList.back().Last = P;
   }
-  for (uint32_t B = 0; B < BlockList.size(); ++B) {
-    for (uint32_t S : InstrSuccs[BlockList[B].Last]) {
-      uint32_t SB = BlockOf[S];
-      BlockList[B].Succs.push_back(SB);
-      BlockList[SB].Preds.push_back(B);
-    }
+  for (const BasicBlock &B : BlockList) {
+    for (uint32_t S : succs(B.Last))
+      BlockSuccs.Edges.push_back(BlockOf[S]);
+    BlockSuccs.endRow();
   }
 }
 

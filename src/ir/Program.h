@@ -5,6 +5,8 @@
 /// (the paper's set P of program points), labels, an initial data image,
 /// and the derived control-flow graph (instruction-level successor /
 /// predecessor edges plus basic-block structure used by the scheduler).
+/// The CFG's edges are stored in compressed rows, so copying a program is
+/// a fixed handful of allocations however many instructions it has.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +14,7 @@
 #define BEC_IR_PROGRAM_H
 
 #include "ir/Instruction.h"
+#include "support/EdgeRows.h"
 
 #include <cstdint>
 #include <span>
@@ -24,10 +27,9 @@ namespace bec {
 struct BasicBlock {
   uint32_t First = 0; ///< Index of the first instruction.
   uint32_t Last = 0;  ///< Index of the last instruction (inclusive).
-  std::vector<uint32_t> Succs; ///< Successor block ids.
-  std::vector<uint32_t> Preds; ///< Predecessor block ids.
 
   uint32_t size() const { return Last - First + 1; }
+  bool operator==(const BasicBlock &) const = default;
 };
 
 /// A flat machine program plus its CFG and memory image.
@@ -53,7 +55,10 @@ public:
   const Instruction &instr(uint32_t P) const { return Instrs[P]; }
 
   /// Recomputes CFG edges and basic blocks. Must be called after any
-  /// structural mutation and before running analyses.
+  /// structural mutation and before running analyses. Permuting
+  /// instructions within a block keeps the CFG valid as long as every
+  /// terminator stays last and every branch target stays a leader (the
+  /// scheduler's case), so such a reordering need not call it.
   void buildCFG();
 
   /// Inserts \p New before the instruction currently at index \p At
@@ -64,12 +69,22 @@ public:
   /// The CFG is invalidated; call buildCFG() after the last mutation.
   void insertInstructions(uint32_t At, std::span<const Instruction> New);
 
-  /// Instruction-level successors of \p P (empty for halts).
-  const std::vector<uint32_t> &succs(uint32_t P) const { return InstrSuccs[P]; }
-  /// Instruction-level predecessors of \p P.
-  const std::vector<uint32_t> &preds(uint32_t P) const { return InstrPreds[P]; }
+  /// Instruction-level successors of \p P (empty for halts; a conditional
+  /// branch lists its fallthrough first, then the taken target).
+  std::span<const uint32_t> succs(uint32_t P) const {
+    return InstrSuccs.row(P);
+  }
+  /// Instruction-level predecessors of \p P, in increasing index order.
+  std::span<const uint32_t> preds(uint32_t P) const {
+    return InstrPreds.row(P);
+  }
 
   const std::vector<BasicBlock> &blocks() const { return BlockList; }
+  /// Successor block ids of block \p B, in the order of its last
+  /// instruction's succs().
+  std::span<const uint32_t> blockSuccs(uint32_t B) const {
+    return BlockSuccs.row(B);
+  }
   /// Block id containing instruction \p P.
   uint32_t blockOf(uint32_t P) const { return BlockOf[P]; }
 
@@ -81,8 +96,9 @@ public:
   std::string toString() const;
 
 private:
-  std::vector<std::vector<uint32_t>> InstrSuccs;
-  std::vector<std::vector<uint32_t>> InstrPreds;
+  EdgeRows InstrSuccs;
+  EdgeRows InstrPreds;
+  EdgeRows BlockSuccs;
   std::vector<BasicBlock> BlockList;
   std::vector<uint32_t> BlockOf;
   std::vector<bool> Reachable;

@@ -5,55 +5,69 @@
 #include "support/Debug.h"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 
 using namespace bec;
 
-BlockDAG bec::buildBlockDAG(const Program &Prog, const BasicBlock &B) {
+const BlockDAG &BlockDAGBuilder::build(const Program &Prog,
+                                       const BasicBlock &B) {
   uint32_t N = B.size();
-  BlockDAG DAG;
-  DAG.First = B.First;
-  DAG.Succs.assign(N, {});
-  DAG.NumPreds.assign(N, 0);
+  // Edges are collected as predecessor rows, one per node in order; the
+  // successor rows are their transpose.
+  EdgeRows &Preds = DAG.Preds;
+  Preds.clear();
+  TakenBy.assign(N, std::numeric_limits<uint32_t>::max());
+  Reads.clear();
+  LoadsSinceStore.clear();
 
   auto AddEdge = [&](uint32_t From, uint32_t To) {
     assert(From < To && "dependence edges go forward in source order");
-    auto &S = DAG.Succs[From];
-    if (std::find(S.begin(), S.end(), To) == S.end()) {
-      S.push_back(To);
-      ++DAG.NumPreds[To];
+    if (TakenBy[From] != To) {
+      TakenBy[From] = To;
+      Preds.Edges.push_back(From);
     }
   };
 
   // Register dependences: for each register track the last writer and all
-  // readers since that write.
+  // reads since that write (LastRead heads the register's list in Reads).
   std::array<int32_t, NumRegs> LastWriter;
   LastWriter.fill(-1);
-  std::array<std::vector<uint32_t>, NumRegs> ReadersSinceWrite;
+  std::array<int32_t, NumRegs> LastRead;
+  LastRead.fill(-1);
 
   int32_t LastSideEffect = -1; // stores/out: keep their relative order
-  std::vector<uint32_t> LoadsSinceStore;
   int32_t LastStore = -1;
 
   for (uint32_t K = 0; K < N; ++K) {
-    uint32_t P = B.First + K;
-    const Instruction &I = Prog.instr(P);
+    const Instruction &I = Prog.instr(B.First + K);
 
-    Reg Reads[2];
-    unsigned NumReads = I.readRegs(Reads);
-    for (unsigned R = 0; R < NumReads; ++R) {
-      Reg V = Reads[R];
+    // The terminator stays last: every other node precedes it, which
+    // covers all of its other dependences.
+    if (K == N - 1 && isTerminator(I.Op)) {
+      for (uint32_t J = 0; J < K; ++J)
+        Preds.Edges.push_back(J);
+      Preds.endRow();
+      break;
+    }
+
+    Reg Used[2];
+    unsigned NumUsed = I.readRegs(Used);
+    for (unsigned R = 0; R < NumUsed; ++R) {
+      Reg V = Used[R];
       if (LastWriter[V] >= 0)
         AddEdge(static_cast<uint32_t>(LastWriter[V]), K); // RAW
-      ReadersSinceWrite[V].push_back(K);
+      Reads.push_back({K, LastRead[V]});
+      LastRead[V] = static_cast<int32_t>(Reads.size()) - 1;
     }
     if (I.writesReg()) {
       Reg V = I.Rd;
       if (LastWriter[V] >= 0)
         AddEdge(static_cast<uint32_t>(LastWriter[V]), K); // WAW
-      for (uint32_t Reader : ReadersSinceWrite[V])
-        if (Reader != K)
-          AddEdge(Reader, K); // WAR
-      ReadersSinceWrite[V].clear();
+      for (int32_t R = LastRead[V]; R >= 0; R = Reads[R].Prev)
+        if (Reads[R].Node != K)
+          AddEdge(Reads[R].Node, K); // WAR
+      LastRead[V] = -1;
       LastWriter[V] = static_cast<int32_t>(K);
     }
 
@@ -75,60 +89,58 @@ BlockDAG bec::buildBlockDAG(const Program &Prog, const BasicBlock &B) {
         AddEdge(static_cast<uint32_t>(LastSideEffect), K);
       LastSideEffect = static_cast<int32_t>(K);
     }
-
-    // The terminator stays last.
-    if (K == N - 1 && isTerminator(I.Op))
-      for (uint32_t J = 0; J + 1 < N; ++J)
-        AddEdge(J, K);
+    Preds.endRow();
   }
+  DAG.First = B.First;
+  DAG.Succs.transposeOf(Preds);
   return DAG;
+}
+
+BlockDAG bec::buildBlockDAG(const Program &Prog, const BasicBlock &B) {
+  return BlockDAGBuilder().build(Prog, B);
 }
 
 namespace {
 
-/// Greedy list scheduling of one block. The score of a ready instruction
-/// is the change it causes to the live-fault-bit surface: scheduling p
-/// makes, for each register it accesses, the access point (p,v) the new
-/// governing segment, replacing the previous governor's live bits.
-class BlockScheduler {
+/// Greedy list scheduling, one block at a time. The score of a ready
+/// instruction is the change it causes to the live-fault-bit surface:
+/// scheduling p makes, for each register it accesses, the access point
+/// (p,v) the new governing segment, replacing the previous governor's
+/// live bits.
+class ListScheduler {
 public:
-  BlockScheduler(const BECAnalysis &A, const BasicBlock &B,
-                 SchedulePolicy Policy)
-      : A(A), Prog(A.program()), B(B), Policy(Policy),
-        DAG(buildBlockDAG(Prog, B)) {}
+  ListScheduler(const BECAnalysis &A, SchedulePolicy Policy);
 
-  /// Appends the chosen instruction order (original indices) to \p Out.
-  void schedule(std::vector<uint32_t> &Out);
+  /// Writes block \p B's chosen order into Out[B.First .. B.Last].
+  void schedule(const BasicBlock &B, std::vector<Instruction> &Out);
 
 private:
-  int64_t liveBitsAfter(uint32_t P, Reg V) const {
-    int32_t Ap = A.space().pointId(P, V);
-    assert(Ap >= 0 && "accessed register without access point");
-    const auto &S = A.summary(static_cast<uint32_t>(Ap));
-    return static_cast<int64_t>(Prog.Width) -
-           popCount(S.MaskedMask, Prog.Width);
-  }
-
-  /// Surface delta of scheduling \p K next (lower = fewer live sites).
+  /// Surface delta of scheduling node \p K next (lower = fewer live sites).
   int64_t scoreOf(uint32_t K) const {
-    uint32_t P = B.First + K;
-    const Instruction &I = Prog.instr(P);
-    if (isHalt(I.Op))
-      return 0;
     int64_t Delta = 0;
-    auto [ApBegin, ApEnd] = A.space().pointsOfInstr(P);
-    for (uint32_t Ap = ApBegin; Ap < ApEnd; ++Ap) {
-      Reg V = A.space().point(Ap).R;
-      Delta += liveBitsAfter(P, V) - Current[V];
-    }
+    for (uint32_t T = TermStart[K]; T < TermStart[K + 1]; ++T)
+      Delta += Terms[T].LiveBits - Current[Terms[T].V];
     return Delta;
   }
 
+  /// Scheduling an instruction with access point (p,v) makes that point
+  /// govern v, with this many live bits.
+  struct Term {
+    Reg V;
+    int32_t LiveBits;
+  };
+
   const BECAnalysis &A;
   const Program &Prog;
-  const BasicBlock &B;
   SchedulePolicy Policy;
-  BlockDAG DAG;
+  BlockDAGBuilder Builder;
+  /// Per node of the block, its terms in compressed rows: Terms[TermStart[K],
+  /// TermStart[K + 1]). Halts have none and score 0.
+  std::vector<uint32_t> TermStart;
+  std::vector<Term> Terms;
+  std::vector<uint32_t> PredsLeft;
+  /// Ready nodes in ascending order, so that ties go to the lowest index.
+  std::vector<uint32_t> Ready;
   /// Current live-bit contribution of each register's governing segment
   /// within this block walk.
   std::array<int64_t, NumRegs> Current{};
@@ -136,8 +148,32 @@ private:
 
 } // namespace
 
-void BlockScheduler::schedule(std::vector<uint32_t> &Out) {
+ListScheduler::ListScheduler(const BECAnalysis &A, SchedulePolicy Policy)
+    : A(A), Prog(A.program()), Policy(Policy) {}
+
+void ListScheduler::schedule(const BasicBlock &B,
+                             std::vector<Instruction> &Out) {
+  // At most one instruction before a closing terminator leaves one order,
+  // the one Out already holds.
   uint32_t N = B.size();
+  if (N - (isTerminator(Prog.instr(B.Last).Op) ? 1 : 0) <= 1)
+    return;
+  const BlockDAG &DAG = Builder.build(Prog, B);
+  const FaultSpace &Space = A.space();
+  TermStart.clear();
+  Terms.clear();
+  for (uint32_t P = B.First; P <= B.Last; ++P) {
+    TermStart.push_back(static_cast<uint32_t>(Terms.size()));
+    if (isHalt(Prog.instr(P).Op))
+      continue;
+    auto [ApBegin, ApEnd] = Space.pointsOfInstr(P);
+    for (uint32_t Ap = ApBegin; Ap < ApEnd; ++Ap)
+      Terms.push_back({Space.point(Ap).R,
+                       static_cast<int32_t>(Prog.Width) -
+                           static_cast<int32_t>(popCount(
+                               A.summary(Ap).MaskedMask, Prog.Width))});
+  }
+  TermStart.push_back(static_cast<uint32_t>(Terms.size()));
   // Registers live into the block contribute their full width (their
   // governing segment is outside the block; unknown masking).
   Current.fill(0);
@@ -146,89 +182,53 @@ void BlockScheduler::schedule(std::vector<uint32_t> &Out) {
     if ((LiveIn >> V) & 1)
       Current[V] = Prog.Width;
 
-  std::vector<uint32_t> PredsLeft = DAG.NumPreds;
-  std::vector<bool> Scheduled(N, false);
+  PredsLeft.resize(N);
+  Ready.clear();
+  for (uint32_t K = 0; K < N; ++K) {
+    PredsLeft[K] = static_cast<uint32_t>(DAG.preds(K).size());
+    if (PredsLeft[K] == 0)
+      Ready.push_back(K);
+  }
 
   for (uint32_t Step = 0; Step < N; ++Step) {
-    int32_t Best = -1;
-    int64_t BestScore = 0;
-    for (uint32_t K = 0; K < N; ++K) {
-      if (Scheduled[K] || PredsLeft[K] != 0)
-        continue;
-      if (Policy == SchedulePolicy::SourceOrder) {
-        Best = static_cast<int32_t>(K);
-        break;
-      }
-      int64_t Score = scoreOf(K);
-      if (Best < 0) {
-        Best = static_cast<int32_t>(K);
-        BestScore = Score;
-        continue;
-      }
-      bool Better = Policy == SchedulePolicy::BestReliability
-                        ? Score < BestScore
-                        : Score > BestScore;
-      if (Better) {
-        Best = static_cast<int32_t>(K);
-        BestScore = Score;
+    assert(!Ready.empty() && "dependence cycle in block DAG");
+    size_t Best = 0;
+    if (Ready.size() > 1) {
+      int64_t BestScore = scoreOf(Ready[0]);
+      for (size_t R = 1; R < Ready.size(); ++R) {
+        int64_t Score = scoreOf(Ready[R]);
+        bool Better = Policy == SchedulePolicy::BestReliability
+                          ? Score < BestScore
+                          : Score > BestScore;
+        if (Better) {
+          Best = R;
+          BestScore = Score;
+        }
       }
     }
-    assert(Best >= 0 && "dependence cycle in block DAG");
-    uint32_t K = static_cast<uint32_t>(Best);
-    Scheduled[K] = true;
-    for (uint32_t S : DAG.Succs[K])
-      --PredsLeft[S];
+    uint32_t K = Ready[Best];
+    Ready.erase(Ready.begin() + static_cast<ptrdiff_t>(Best));
+    for (uint32_t S : DAG.succs(K))
+      if (--PredsLeft[S] == 0)
+        Ready.insert(std::lower_bound(Ready.begin(), Ready.end(), S), S);
 
-    uint32_t P = B.First + K;
-    const Instruction &I = Prog.instr(P);
-    if (!isHalt(I.Op)) {
-      auto [ApBegin, ApEnd] = A.space().pointsOfInstr(P);
-      for (uint32_t Ap = ApBegin; Ap < ApEnd; ++Ap) {
-        Reg V = A.space().point(Ap).R;
-        Current[V] = liveBitsAfter(P, V);
-      }
-    }
-    Out.push_back(P);
+    for (uint32_t T = TermStart[K]; T < TermStart[K + 1]; ++T)
+      Current[Terms[T].V] = Terms[T].LiveBits;
+    Out[B.First + Step] = Prog.instr(B.First + K);
   }
 }
 
 Program bec::scheduleProgram(const BECAnalysis &A, SchedulePolicy Policy) {
   const Program &Prog = A.program();
-  // New order, block by block, in original block order.
-  std::vector<uint32_t> Order;
-  Order.reserve(Prog.size());
-  for (const BasicBlock &B : Prog.blocks()) {
-    BlockScheduler Scheduler(A, B, Policy);
-    Scheduler.schedule(Order);
-  }
-  assert(Order.size() == Prog.size() && "scheduler dropped instructions");
-
-  // Rebuild the program. Branch targets address block leaders; map the
-  // old target instruction to the first instruction of its block in the
-  // new order (blocks keep their extents and order).
-  std::vector<uint32_t> NewIndexOf(Prog.size());
-  for (uint32_t NewP = 0; NewP < Order.size(); ++NewP)
-    NewIndexOf[Order[NewP]] = NewP;
-
-  Program Out;
+  // Blocks keep their extents and the DAG pins every terminator last.
+  // Branch targets and the entry are leaders, so they keep their indices
+  // too, and the copy's CFG stays valid as it is.
+  Program Out = Prog;
   Out.Name = Prog.Name + ".sched";
-  Out.Width = Prog.Width;
-  Out.MemSize = Prog.MemSize;
-  Out.DataBase = Prog.DataBase;
-  Out.Data = Prog.Data;
-  // Block extents keep their positions, so the entry block's leader sits
-  // at the same index as before.
-  Out.Entry = Prog.blocks()[Prog.blockOf(Prog.Entry)].First;
-
-  Out.Instrs.resize(Prog.size());
-  for (uint32_t NewP = 0; NewP < Order.size(); ++NewP) {
-    Instruction I = Prog.instr(Order[NewP]);
-    if (I.Target != NoTarget) {
-      uint32_t TargetBlock = Prog.blockOf(static_cast<uint32_t>(I.Target));
-      I.Target = static_cast<int32_t>(Prog.blocks()[TargetBlock].First);
-    }
-    Out.Instrs[NewP] = I;
-  }
-  Out.buildCFG();
+  if (Policy == SchedulePolicy::SourceOrder)
+    return Out;
+  ListScheduler Scheduler(A, Policy);
+  for (const BasicBlock &B : Prog.blocks())
+    Scheduler.schedule(B, Out.Instrs);
   return Out;
 }

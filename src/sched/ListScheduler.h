@@ -20,6 +20,7 @@
 #define BEC_SCHED_LISTSCHEDULER_H
 
 #include "core/BECAnalysis.h"
+#include "support/EdgeRows.h"
 
 #include <vector>
 
@@ -27,22 +28,52 @@ namespace bec {
 
 enum class SchedulePolicy { BestReliability, WorstReliability, SourceOrder };
 
-/// Dependence DAG of one basic block (nodes are instruction indices).
+/// Dependence DAG of one basic block in compressed rows. Nodes are offsets
+/// from the block's first instruction. Every edge goes forward in source
+/// order, no row repeats a node, and successor rows are ascending.
 struct BlockDAG {
   uint32_t First = 0; ///< First instruction of the block.
-  /// Per node (offset from First): direct successors and predecessor count.
-  std::vector<std::vector<uint32_t>> Succs;
-  std::vector<uint32_t> NumPreds;
+  EdgeRows Succs;
+  EdgeRows Preds;
+
+  /// Direct successors of node \p K.
+  std::span<const uint32_t> succs(uint32_t K) const { return Succs.row(K); }
+  /// Direct predecessors of node \p K.
+  std::span<const uint32_t> preds(uint32_t K) const { return Preds.row(K); }
 };
 
-/// Builds the dependence DAG of block \p B: register RAW/WAR/WAW edges,
-/// conservative memory edges (no alias analysis), side-effect ordering,
-/// and terminator-last edges.
+/// Builds block dependence DAGs: register RAW/WAR/WAW edges, conservative
+/// memory edges (no alias analysis), side-effect ordering, and
+/// terminator-last edges. A builder reuses its buffers from block to
+/// block; the DAG it returns is valid until its next build().
+class BlockDAGBuilder {
+public:
+  const BlockDAG &build(const Program &Prog, const BasicBlock &B);
+
+private:
+  BlockDAG DAG;
+  /// Per node, the last node whose predecessor row took it (deduplicates).
+  std::vector<uint32_t> TakenBy;
+  /// The reads of each register since its last write, as one list per
+  /// register threaded through a shared buffer: each read names its node
+  /// and the register's read before it (-1 for none).
+  struct Read {
+    uint32_t Node;
+    int32_t Prev;
+  };
+  std::vector<Read> Reads;
+  std::vector<uint32_t> LoadsSinceStore;
+};
+
+/// The DAG of block \p B on its own (one build of a fresh builder).
 BlockDAG buildBlockDAG(const Program &Prog, const BasicBlock &B);
 
 /// Reorders every basic block of \p A's program under \p Policy, driven
-/// by \p A's per-access-point masked-bit summaries. Returns a new program
-/// (with rebuilt CFG) that is observationally equivalent to the input.
+/// by \p A's per-access-point masked-bit summaries. Returns a new program,
+/// named `<name>.sched`, that is observationally equivalent to the input.
+/// Only instructions within a block move, with terminators last, so the
+/// result is the input copied with its instructions permuted and the
+/// input's CFG still valid; source order is the plain copy.
 Program scheduleProgram(const BECAnalysis &A, SchedulePolicy Policy);
 
 } // namespace bec

@@ -311,10 +311,10 @@ loop:
   const BasicBlock &Loop = Prog.blocks()[1];
   EXPECT_EQ(Loop.First, 1u);
   EXPECT_EQ(Loop.Last, 2u);
-  ASSERT_EQ(Loop.Succs.size(), 2u);
+  ASSERT_EQ(Prog.blockSuccs(1).size(), 2u);
   // Fallthrough edge first, then the taken edge.
-  EXPECT_EQ(Loop.Succs[0], 2u);
-  EXPECT_EQ(Loop.Succs[1], 1u);
+  EXPECT_EQ(Prog.blockSuccs(1)[0], 2u);
+  EXPECT_EQ(Prog.blockSuccs(1)[1], 1u);
   for (uint32_t P = 0; P < Prog.size(); ++P)
     EXPECT_TRUE(Prog.isReachable(P));
 }
