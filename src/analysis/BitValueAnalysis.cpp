@@ -5,21 +5,25 @@
 #include "support/Debug.h"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
 
 using namespace bec;
 
+namespace {
+
 /// Reads the abstract value of operand register \p V (x0 is constant 0).
-static KnownBits readOperand(const RegState &S, Reg V, unsigned Width) {
+KnownBits readOperand(const RegState &S, Reg V, unsigned Width) {
   if (V == RegZero)
     return KnownBits::constant(0, Width);
   return S[V];
 }
 
-KnownBits BitValueAnalysis::evalResult(const Instruction &I, const RegState &S,
-                                       unsigned Width) {
-  auto Src1 = [&] { return readOperand(S, I.Rs1, Width); };
-  auto Src2 = [&] { return readOperand(S, I.Rs2, Width); };
+/// evalResult() over any state: \p Read(V) is the value of operand V. Only
+/// the operands the opcode has are read.
+template <typename ReadFn>
+KnownBits resultWith(const Instruction &I, ReadFn Read, unsigned Width) {
+  auto Src1 = [&] { return Read(I.Rs1); };
+  auto Src2 = [&] { return Read(I.Rs2); };
   auto Imm = [&] {
     return KnownBits::constant(static_cast<uint64_t>(I.Imm), Width);
   };
@@ -95,10 +99,11 @@ KnownBits BitValueAnalysis::evalResult(const Instruction &I, const RegState &S,
   }
 }
 
-BitValue BitValueAnalysis::evalBranch(const Instruction &I, const RegState &S,
-                                      unsigned Width) {
-  KnownBits A = readOperand(S, I.Rs1, Width);
-  KnownBits B = readOperand(S, I.Rs2, Width);
+/// evalBranch() over any state, as resultWith().
+template <typename ReadFn>
+BitValue branchWith(const Instruction &I, ReadFn Read) {
+  KnownBits A = Read(I.Rs1);
+  KnownBits B = Read(I.Rs2);
   switch (I.Op) {
   case Opcode::BEQ:
     return KnownBits::cmpEq(A, B);
@@ -135,21 +140,20 @@ BitValue BitValueAnalysis::evalBranch(const Instruction &I, const RegState &S,
   }
 }
 
-namespace {
+} // namespace
 
-/// Meets \p Src into \p Dst register by register. \returns true if \p Dst
-/// changed.
-bool meetInto(RegState &Dst, const RegState &Src) {
-  bool Changed = false;
-  for (Reg V = 0; V < NumRegs; ++V) {
-    KnownBits M = KnownBits::meet(Dst[V], Src[V]);
-    if (M != Dst[V]) {
-      Dst[V] = M;
-      Changed = true;
-    }
-  }
-  return Changed;
+KnownBits BitValueAnalysis::evalResult(const Instruction &I, const RegState &S,
+                                       unsigned Width) {
+  return resultWith(
+      I, [&](Reg V) { return readOperand(S, V, Width); }, Width);
 }
+
+BitValue BitValueAnalysis::evalBranch(const Instruction &I, const RegState &S,
+                                      unsigned Width) {
+  return branchWith(I, [&](Reg V) { return readOperand(S, V, Width); });
+}
+
+namespace {
 
 /// The blocks reachable from \p Entry, in reverse postorder.
 std::vector<uint32_t> reversePostorder(const Program &Prog, uint32_t Entry) {
@@ -182,13 +186,11 @@ std::vector<uint32_t> reversePostorder(const Program &Prog, uint32_t Entry) {
 BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
   uint32_t N = Prog.size();
   unsigned Width = Prog.Width;
+  uint64_t Full = lowBitMask(Width);
   BitValueAnalysis Result;
-  RegState BottomState;
-  for (auto &KB : BottomState)
-    KB = KnownBits::bottom(Width);
-  Result.In.assign(N, BottomState);
-  Result.Defs.assign(N, {});
-  Result.Executable.assign(N, false);
+  Result.Width = Width;
+  Result.In.resize(N);
+  Result.Steps.assign(N, {});
   if (N == 0)
     return Result;
 
@@ -201,42 +203,54 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
   for (uint32_t Idx = 0; Idx < Order.size(); ++Idx)
     RpoIndex[Order[Idx]] = Idx;
 
-  // State at each block entry: the meet over the block's executable
-  // incoming edges. The entry block additionally meets the entry state:
-  // x0 is zero, everything else unknown (machine-initialized contents are
-  // not assumed).
-  std::vector<RegState> EntryOf(Order.size(), BottomState);
-  EntryOf[0][RegZero] = KnownBits::constant(0, Width);
-  for (Reg V = 1; V < NumRegs; ++V)
-    EntryOf[0][V] = KnownBits::top(Width);
+  // State at each reached block's entry: the meet over the block's
+  // executable incoming edges. The entry block additionally meets the
+  // entry state: x0 is zero, everything else unknown (machine-initialized
+  // contents are not assumed).
+  std::vector<Regs> EntryOf(Order.size());
+  EntryOf[0].Zero[RegZero] = Full;
+
+  // S is the state being transferred; Read views one of its registers.
+  Regs S;
+  auto Read = [&](Reg V) {
+    return KnownBits::fromMasks(S.Zero[V], S.One[V], Width);
+  };
+  auto Transfer = [&](const Instruction &I) -> KnownBits {
+    KnownBits Value = resultWith(I, Read, Width);
+    assert(Value.initMask() == Full && "transfer left a bit Bottom");
+    S.Zero[I.Rd] = Value.zeroMask();
+    S.One[I.Rd] = Value.oneMask();
+    return Value;
+  };
 
   // Executable blocks are those with a feasible incoming edge (plus the
   // entry). The worklist always visits the pending block earliest in
   // reverse postorder, so a block's predecessors outside loops are stable
-  // before it is visited.
+  // before it is visited. Pending is a bitset over RPO positions with no
+  // pending bit in a word below FirstWord.
   std::vector<bool> Reached(Order.size(), false);
-  std::vector<bool> Queued(Order.size(), false);
-  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>>
-      Worklist;
-  Reached[0] = Queued[0] = true;
-  Worklist.push(0);
-
-  RegState S;
-  while (!Worklist.empty()) {
-    uint32_t Idx = Worklist.top();
-    Worklist.pop();
-    Queued[Idx] = false;
+  std::vector<uint64_t> Pending((Order.size() + 63) / 64, 0);
+  size_t FirstWord = 0;
+  Reached[0] = true;
+  Pending[0] = 1;
+  while (true) {
+    while (FirstWord < Pending.size() && !Pending[FirstWord])
+      ++FirstWord;
+    if (FirstWord == Pending.size())
+      break;
+    uint64_t &Word = Pending[FirstWord];
+    uint32_t Idx = static_cast<uint32_t>(FirstWord * 64) +
+                   static_cast<uint32_t>(std::countr_zero(Word));
+    Word &= Word - 1;
 
     // Transfer through the block. Terminators write no register, so S is
     // also the state the terminator reads.
     const BasicBlock &BB = Blocks[Order[Idx]];
     std::span<const uint32_t> Succs = Prog.blockSuccs(Order[Idx]);
     S = EntryOf[Idx];
-    for (uint32_t P = BB.First; P <= BB.Last; ++P) {
-      const Instruction &I = Prog.instr(P);
-      if (I.writesReg())
-        S[I.Rd] = evalResult(I, S, Width);
-    }
+    for (uint32_t P = BB.First; P <= BB.Last; ++P)
+      if (Prog.instr(P).writesReg())
+        Transfer(Prog.instr(P));
 
     // Propagate along feasible outgoing edges (Wegman-Zadeck). Slot 0 of a
     // conditional branch is the fallthrough, slot 1 the taken edge (unless
@@ -244,7 +258,7 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
     const Instruction &Term = Prog.instr(BB.Last);
     bool TakenFeasible = true, FallFeasible = true;
     if (isConditionalBranch(Term.Op) && Succs.size() == 2) {
-      BitValue Cond = evalBranch(Term, S, Width);
+      BitValue Cond = branchWith(Term, Read);
       TakenFeasible = Cond != BitValue::Zero;
       FallFeasible = Cond != BitValue::One;
     }
@@ -252,10 +266,25 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
       if (!(Slot == 0 ? FallFeasible : TakenFeasible))
         continue;
       uint32_t T = RpoIndex[Succs[Slot]];
-      // A first edge always changes the target: x0 is never Bottom in S.
-      if (meetInto(EntryOf[T], S) && !Queued[T]) {
-        Reached[T] = Queued[T] = true;
-        Worklist.push(T);
+      // The first edge into a block copies the state; later ones keep the
+      // bits both sides know, two ANDs per register.
+      Regs &Dst = EntryOf[T];
+      uint64_t Changed = 0;
+      if (!Reached[T]) {
+        Reached[T] = true;
+        Dst = S;
+        Changed = 1;
+      } else {
+        for (Reg V = 0; V < NumRegs; ++V) {
+          uint64_t Zero = Dst.Zero[V] & S.Zero[V], One = Dst.One[V] & S.One[V];
+          Changed |= (Zero ^ Dst.Zero[V]) | (One ^ Dst.One[V]);
+          Dst.Zero[V] = Zero;
+          Dst.One[V] = One;
+        }
+      }
+      if (Changed) {
+        Pending[T / 64] |= uint64_t(1) << (T % 64);
+        FirstWord = std::min<size_t>(FirstWord, T / 64);
       }
     }
   }
@@ -265,15 +294,17 @@ BitValueAnalysis BitValueAnalysis::run(const Program &Prog) {
     if (!Reached[Idx])
       continue;
     const BasicBlock &BB = Blocks[Order[Idx]];
-    RegState &State = EntryOf[Idx];
+    S = EntryOf[Idx];
     for (uint32_t P = BB.First; P <= BB.Last; ++P) {
       const Instruction &I = Prog.instr(P);
-      Result.In[P] = State;
-      Result.Executable[P] = true;
+      Result.In[P] = S;
+      Step &St = Result.Steps[P];
+      St.Executable = true;
       if (I.writesReg()) {
-        KnownBits Value = evalResult(I, State, Width);
-        Result.Defs[P] = {I.Rd, Value};
-        State[I.Rd] = Value;
+        KnownBits Value = Transfer(I);
+        St.R = I.Rd;
+        St.Zero = Value.zeroMask();
+        St.One = Value.oneMask();
       }
     }
   }

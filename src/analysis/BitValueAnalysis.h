@@ -15,6 +15,13 @@
 /// instruction (before()) and the value each instruction writes; after()
 /// is derived from the two instead of being stored as a second full state.
 ///
+/// Bottom is a fact about a whole block, never about single bits: the
+/// entry state is fully initialized, every transfer result is, and the
+/// first meet into an unreached block is a copy. So a reached state is
+/// stored as two masks per register (known zero, known one), a meet of two
+/// reached states is two ANDs per register, and an instruction the solver
+/// never reaches reads as all Bottom.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEC_ANALYSIS_BITVALUEANALYSIS_H
@@ -38,15 +45,22 @@ public:
   static BitValueAnalysis run(const Program &Prog);
 
   /// k before p: the abstract value of \p V as read by \p P.
-  const KnownBits &before(uint32_t P, Reg V) const { return In[P][V]; }
+  KnownBits before(uint32_t P, Reg V) const {
+    if (!Steps[P].Executable)
+      return KnownBits::bottom(Width);
+    return KnownBits::fromMasks(In[P].Zero[V], In[P].One[V], Width);
+  }
   /// k(p, v): the abstract value of \p V after \p P executes.
   KnownBits after(uint32_t P, Reg V) const {
-    return V == Defs[P].R ? Defs[P].Value : In[P][V];
+    const Step &S = Steps[P];
+    if (V == S.R)
+      return KnownBits::fromMasks(S.Zero, S.One, Width);
+    return before(P, V);
   }
 
   /// True if the solver found \p P executable (unreachable code under the
   /// abstract semantics is never executed concretely either).
-  bool isExecutable(uint32_t P) const { return Executable[P]; }
+  bool isExecutable(uint32_t P) const { return Steps[P].Executable; }
 
   /// Computes the abstract result that \p P writes to its destination
   /// given input state \p S (exposed for the coalescing eval() rule and
@@ -59,16 +73,25 @@ public:
                              unsigned Width);
 
 private:
-  /// The register an executable instruction writes and the value it
-  /// writes; R is NumRegs (no register) otherwise.
-  struct Def {
+  /// A fully initialized register file: per register, the bits known to be
+  /// zero and the bits known to be one; every other bit is Top.
+  struct Regs {
+    std::array<uint64_t, NumRegs> Zero{};
+    std::array<uint64_t, NumRegs> One{};
+  };
+  /// Whether an instruction is executable, and the register it writes and
+  /// the value it writes there; R is NumRegs (no register) otherwise.
+  struct Step {
+    bool Executable = false;
     Reg R = NumRegs;
-    KnownBits Value;
+    uint64_t Zero = 0;
+    uint64_t One = 0;
   };
 
-  std::vector<RegState> In;
-  std::vector<Def> Defs;
-  std::vector<bool> Executable;
+  unsigned Width = 32;
+  /// The state before each instruction; read only where it is executable.
+  std::vector<Regs> In;
+  std::vector<Step> Steps;
 };
 
 } // namespace bec

@@ -63,6 +63,15 @@ public:
     return KnownBits(~Value & M, Value, M, Width);
   }
 
+  /// Every bit initialized: Zero where \p Zero is set, One where \p One is
+  /// set, Top elsewhere (the two masks must be disjoint within Width).
+  static KnownBits fromMasks(uint64_t Zero, uint64_t One, unsigned Width) {
+    uint64_t M = lowBitMask(Width);
+    assert((Zero & One) == 0 && ((Zero | One) & ~M) == 0 &&
+           "known-zero and known-one masks overlap or exceed the width");
+    return KnownBits(Zero, One, M, Width);
+  }
+
   unsigned width() const { return Width; }
   uint64_t zeroMask() const { return Zero; }
   uint64_t oneMask() const { return One; }

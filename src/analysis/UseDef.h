@@ -6,6 +6,11 @@
 /// (reads do not kill; a point that reads and writes v reads first). This
 /// drives the inter-instruction coalescing step of Algorithm 2.
 ///
+/// One backward solve covers every register: each read of the program
+/// gets an id, register-major and then by instruction, so the readers of a
+/// register form one contiguous id range. A write to v kills v's range,
+/// and use(p, v) is the part of the read set after p in v's range.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEC_ANALYSIS_USEDEF_H
@@ -13,6 +18,7 @@
 
 #include "ir/Program.h"
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,23 +32,25 @@ public:
   static UseDef run(const Program &Prog);
 
   /// The set of instructions that read \p V, reachable from after \p P
-  /// with no intervening write to \p V. Sorted ascending.
+  /// with no intervening write to \p V. Sorted ascending; empty unless
+  /// \p P reads or writes \p V.
   std::span<const uint32_t> uses(uint32_t P, Reg V) const {
-    const Slice &S = Slices[Index(P, V, NumInstrs)];
-    return {Storage.data() + S.Offset, S.Count};
+    for (const Slice &S : Slices[P])
+      if (S.R == V)
+        return {Storage.data() + S.Offset, S.Count};
+    return {};
   }
 
 private:
-  static size_t Index(uint32_t P, Reg V, uint32_t N) {
-    return static_cast<size_t>(V) * N + P;
-  }
-
+  /// use(p, R) as a range of Storage; R is NumRegs in an unused slot.
   struct Slice {
+    Reg R = NumRegs;
     uint32_t Offset = 0;
     uint32_t Count = 0;
   };
-  uint32_t NumInstrs = 0;
-  std::vector<Slice> Slices;
+  /// Per instruction, one slot per register it reads (at most two) or
+  /// writes.
+  std::vector<std::array<Slice, 3>> Slices;
   std::vector<uint32_t> Storage;
 };
 

@@ -58,6 +58,14 @@ public:
                          std::shared_ptr<const UseDef> Uses,
                          std::shared_ptr<const BitValueAnalysis> BitValues);
 
+  /// The result keeps a pointer to its program, so a temporary would
+  /// dangle as soon as run() returned.
+  static BECAnalysis run(Program &&, const BECOptions & = {}) = delete;
+  static BECAnalysis run(Program &&, const BECOptions &,
+                         std::shared_ptr<const Liveness>,
+                         std::shared_ptr<const UseDef>,
+                         std::shared_ptr<const BitValueAnalysis>) = delete;
+
   const Program &program() const { return *Prog; }
   const FaultSpace &space() const { return *Space; }
   const Liveness &liveness() const { return *Live; }
@@ -99,6 +107,10 @@ public:
   uint32_t mergeCount() const { return Merges; }
 
 private:
+  /// Algorithm 2's rounds of inter-instruction merges, from the
+  /// liveness-initialized relation to the fixed point.
+  void coalesce();
+
   const Program *Prog = nullptr;
   std::unique_ptr<FaultSpace> Space;
   /// Shared so a cached sub-analysis (api/AnalysisSession) can back any

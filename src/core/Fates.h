@@ -49,10 +49,15 @@ class InstrFates {
 public:
   /// Fate of bit \p Bit of read-register \p V (None if V is not read).
   Fate fate(Reg V, unsigned Bit) const {
+    const Fate *Bits = operandFates(V);
+    return Bits ? Bits[Bit] : Fate{};
+  }
+  /// Fates of every bit of read-register \p V, or null if V is not read.
+  const Fate *operandFates(Reg V) const {
     for (unsigned I = 0; I < NumOperands; ++I)
       if (Operands[I].R == V)
-        return Operands[I].Bits[Bit];
-    return {};
+        return Operands[I].Bits.data();
+    return nullptr;
   }
 
   /// Mutable per-operand storage (filled by computeFates).
@@ -72,7 +77,8 @@ struct FateOptions {
 };
 
 /// Computes the fates of instruction \p I given the abstract register
-/// state \p In as read by the instruction.
+/// state \p In as read by the instruction. Only In[I.Rs1] and In[I.Rs2]
+/// are read.
 InstrFates computeFates(const Instruction &I, const RegState &In,
                         unsigned Width, const FateOptions &Opts = {});
 

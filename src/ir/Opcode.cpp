@@ -2,90 +2,28 @@
 
 #include "ir/Opcode.h"
 
-#include "support/Debug.h"
-
-#include <cassert>
-
 using namespace bec;
 
-namespace {
-struct OpcodeInfo {
-  std::string_view Name;
-  OpFormat Format;
-};
-} // namespace
-
-static constexpr OpcodeInfo Infos[NumOpcodes] = {
-    {"li", OpFormat::RegImm},      {"lui", OpFormat::RegImm},
-    {"mv", OpFormat::RegReg},      {"add", OpFormat::RegRegReg},
-    {"sub", OpFormat::RegRegReg},  {"and", OpFormat::RegRegReg},
-    {"or", OpFormat::RegRegReg},   {"xor", OpFormat::RegRegReg},
-    {"sll", OpFormat::RegRegReg},  {"srl", OpFormat::RegRegReg},
-    {"sra", OpFormat::RegRegReg},  {"slt", OpFormat::RegRegReg},
-    {"sltu", OpFormat::RegRegReg}, {"addi", OpFormat::RegRegImm},
-    {"andi", OpFormat::RegRegImm}, {"ori", OpFormat::RegRegImm},
-    {"xori", OpFormat::RegRegImm}, {"slli", OpFormat::RegRegImm},
-    {"srli", OpFormat::RegRegImm}, {"srai", OpFormat::RegRegImm},
-    {"slti", OpFormat::RegRegImm}, {"sltiu", OpFormat::RegRegImm},
-    {"mul", OpFormat::RegRegReg},  {"mulhu", OpFormat::RegRegReg},
-    {"div", OpFormat::RegRegReg},  {"divu", OpFormat::RegRegReg},
-    {"rem", OpFormat::RegRegReg},  {"remu", OpFormat::RegRegReg},
-    {"beq", OpFormat::Branch},     {"bne", OpFormat::Branch},
-    {"blt", OpFormat::Branch},     {"bge", OpFormat::Branch},
-    {"bltu", OpFormat::Branch},    {"bgeu", OpFormat::Branch},
-    {"j", OpFormat::Jump},         {"lw", OpFormat::Load},
-    {"lh", OpFormat::Load},        {"lhu", OpFormat::Load},
-    {"lb", OpFormat::Load},        {"lbu", OpFormat::Load},
-    {"sw", OpFormat::Store},       {"sh", OpFormat::Store},
-    {"sb", OpFormat::Store},       {"out", OpFormat::UnaryIn},
-    {"ret", OpFormat::None},       {"halt", OpFormat::None},
-    {"nop", OpFormat::None},
+/// Mnemonics in Opcode order; the formats live in Opcode.h.
+static constexpr std::string_view Names[NumOpcodes] = {
+    "li",   "lui",  "mv",   "add",  "sub",  "and",   "or",   "xor",
+    "sll",  "srl",  "sra",  "slt",  "sltu", "addi",  "andi", "ori",
+    "xori", "slli", "srli", "srai", "slti", "sltiu", "mul",  "mulhu",
+    "div",  "divu", "rem",  "remu", "beq",  "bne",   "blt",  "bge",
+    "bltu", "bgeu", "j",    "lw",   "lh",   "lhu",   "lb",   "lbu",
+    "sw",   "sh",   "sb",   "out",  "ret",  "halt",  "nop",
 };
 
-static_assert(Infos[static_cast<unsigned>(Opcode::NOP)].Name == "nop",
-              "opcode info table out of sync with the Opcode enum");
+static_assert(Names[static_cast<unsigned>(Opcode::NOP)] == "nop",
+              "opcode name table out of sync with the Opcode enum");
 
 std::string_view bec::opcodeName(Opcode Op) {
-  return Infos[static_cast<unsigned>(Op)].Name;
+  return Names[static_cast<unsigned>(Op)];
 }
 
 std::optional<Opcode> bec::parseOpcodeName(std::string_view Name) {
   for (unsigned I = 0; I < NumOpcodes; ++I)
-    if (Infos[I].Name == Name)
+    if (Names[I] == Name)
       return static_cast<Opcode>(I);
   return std::nullopt;
-}
-
-OpFormat bec::opcodeFormat(Opcode Op) {
-  return Infos[static_cast<unsigned>(Op)].Format;
-}
-
-bool bec::isConditionalBranch(Opcode Op) {
-  return opcodeFormat(Op) == OpFormat::Branch;
-}
-
-bool bec::isTerminator(Opcode Op) {
-  return isConditionalBranch(Op) || Op == Opcode::J || isHalt(Op);
-}
-
-bool bec::isHalt(Opcode Op) { return Op == Opcode::RET || Op == Opcode::HALT; }
-
-bool bec::isLoad(Opcode Op) { return opcodeFormat(Op) == OpFormat::Load; }
-
-bool bec::isStore(Opcode Op) { return opcodeFormat(Op) == OpFormat::Store; }
-
-bool bec::hasSideEffects(Opcode Op) {
-  return isStore(Op) || Op == Opcode::OUT || isHalt(Op);
-}
-
-bool bec::isSetCompare(Opcode Op) {
-  switch (Op) {
-  case Opcode::SLT:
-  case Opcode::SLTU:
-  case Opcode::SLTI:
-  case Opcode::SLTIU:
-    return true;
-  default:
-    return false;
-  }
 }

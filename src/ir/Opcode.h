@@ -62,24 +62,77 @@ enum class OpFormat : uint8_t {
   None,         ///< op                    (ret, halt, nop)
 };
 
-OpFormat opcodeFormat(Opcode Op);
+namespace detail {
+/// Operand shape of each opcode, in Opcode order. The predicates below run
+/// for every operand query of every analysis, so they are inline.
+inline constexpr OpFormat OpcodeFormats[NumOpcodes] = {
+    // li lui mv
+    OpFormat::RegImm, OpFormat::RegImm, OpFormat::RegReg,
+    // add sub and or xor sll srl sra slt sltu
+    OpFormat::RegRegReg, OpFormat::RegRegReg, OpFormat::RegRegReg,
+    OpFormat::RegRegReg, OpFormat::RegRegReg, OpFormat::RegRegReg,
+    OpFormat::RegRegReg, OpFormat::RegRegReg, OpFormat::RegRegReg,
+    OpFormat::RegRegReg,
+    // addi andi ori xori slli srli srai slti sltiu
+    OpFormat::RegRegImm, OpFormat::RegRegImm, OpFormat::RegRegImm,
+    OpFormat::RegRegImm, OpFormat::RegRegImm, OpFormat::RegRegImm,
+    OpFormat::RegRegImm, OpFormat::RegRegImm, OpFormat::RegRegImm,
+    // mul mulhu div divu rem remu
+    OpFormat::RegRegReg, OpFormat::RegRegReg, OpFormat::RegRegReg,
+    OpFormat::RegRegReg, OpFormat::RegRegReg, OpFormat::RegRegReg,
+    // beq bne blt bge bltu bgeu
+    OpFormat::Branch, OpFormat::Branch, OpFormat::Branch,
+    OpFormat::Branch, OpFormat::Branch, OpFormat::Branch,
+    // j
+    OpFormat::Jump,
+    // lw lh lhu lb lbu
+    OpFormat::Load, OpFormat::Load, OpFormat::Load, OpFormat::Load,
+    OpFormat::Load,
+    // sw sh sb
+    OpFormat::Store, OpFormat::Store, OpFormat::Store,
+    // out ret halt nop
+    OpFormat::UnaryIn, OpFormat::None, OpFormat::None, OpFormat::None,
+};
+} // namespace detail
+
+constexpr OpFormat opcodeFormat(Opcode Op) {
+  return detail::OpcodeFormats[static_cast<unsigned>(Op)];
+}
 
 /// True for beq/bne/blt/bge/bltu/bgeu.
-bool isConditionalBranch(Opcode Op);
-/// True for instructions that end a basic block (branches, j, ret, halt).
-bool isTerminator(Opcode Op);
+constexpr bool isConditionalBranch(Opcode Op) {
+  return opcodeFormat(Op) == OpFormat::Branch;
+}
 /// True for ret/halt.
-bool isHalt(Opcode Op);
+constexpr bool isHalt(Opcode Op) {
+  return Op == Opcode::RET || Op == Opcode::HALT;
+}
+/// True for instructions that end a basic block (branches, j, ret, halt).
+constexpr bool isTerminator(Opcode Op) {
+  return isConditionalBranch(Op) || Op == Opcode::J || isHalt(Op);
+}
 /// True for loads.
-bool isLoad(Opcode Op);
+constexpr bool isLoad(Opcode Op) { return opcodeFormat(Op) == OpFormat::Load; }
 /// True for stores.
-bool isStore(Opcode Op);
+constexpr bool isStore(Opcode Op) {
+  return opcodeFormat(Op) == OpFormat::Store;
+}
 /// True for instructions with externally observable side effects
 /// (stores, out, ret): the scheduler must preserve their relative order.
-bool hasSideEffects(Opcode Op);
+constexpr bool hasSideEffects(Opcode Op) {
+  return isStore(Op) || Op == Opcode::OUT || isHalt(Op);
+}
 /// True for slt/slti/sltu/sltiu: comparison writes handled by the
 /// eval-based coalescing rule.
-bool isSetCompare(Opcode Op);
+constexpr bool isSetCompare(Opcode Op) {
+  return Op == Opcode::SLT || Op == Opcode::SLTU || Op == Opcode::SLTI ||
+         Op == Opcode::SLTIU;
+}
+
+static_assert(opcodeFormat(Opcode::J) == OpFormat::Jump &&
+                  opcodeFormat(Opcode::SB) == OpFormat::Store &&
+                  opcodeFormat(Opcode::NOP) == OpFormat::None,
+              "opcode format table out of sync with the Opcode enum");
 
 } // namespace bec
 

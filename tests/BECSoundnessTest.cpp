@@ -20,8 +20,12 @@
 #include "ir/AsmParser.h"
 #include "sim/Interpreter.h"
 #include "support/Xoshiro.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <type_traits>
 
 using namespace bec;
 
@@ -185,5 +189,110 @@ TEST_P(GeneratedCorpusSoundness, ValidatesSound) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, GeneratedCorpusSoundness,
                          ::testing::Range<unsigned>(0, 50));
+
+/// Calls BECAnalysis::run; invocable exactly when that call compiles.
+struct CallRun {
+  template <typename... Args>
+  auto operator()(Args &&...A) const
+      -> decltype(BECAnalysis::run(std::forward<Args>(A)...));
+};
+
+/// A BECAnalysis keeps a pointer to its program, so neither run() accepts
+/// a temporary: `BECAnalysis::run(loadWorkload(W))` must not compile.
+TEST(BEC, RunRejectsTemporaryPrograms) {
+  using LivePtr = std::shared_ptr<const Liveness>;
+  using UsesPtr = std::shared_ptr<const UseDef>;
+  using BitsPtr = std::shared_ptr<const BitValueAnalysis>;
+  static_assert(std::is_invocable_v<CallRun, const Program &>);
+  static_assert(std::is_invocable_v<CallRun, Program &, const BECOptions &>);
+  static_assert(std::is_invocable_v<CallRun, const Program &, BECOptions,
+                                    LivePtr, UsesPtr, BitsPtr>);
+  static_assert(!std::is_invocable_v<CallRun, Program>);
+  static_assert(!std::is_invocable_v<CallRun, Program &&, const BECOptions &>);
+  static_assert(!std::is_invocable_v<CallRun, Program, BECOptions, LivePtr,
+                                     UsesPtr, BitsPtr>);
+}
+
+/// FNV-1a 64 over the little-endian bytes of a sequence of words.
+struct Digest {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void add(uint64_t V) {
+    for (unsigned I = 0; I < 8; ++I, V >>= 8)
+      H = (H ^ (V & 0xff)) * 0x100000001b3ull;
+  }
+};
+
+/// FNV-1a of classOf() for every fault index, iterations(), mergeCount()
+/// and every access point's summary.
+uint64_t classDigest(const BECAnalysis &A) {
+  Digest D;
+  for (uint32_t Idx = 0; Idx < A.space().numFaultIndices(); ++Idx)
+    D.add(A.classOf(Idx));
+  D.add(A.iterations());
+  D.add(A.mergeCount());
+  for (uint32_t Ap = 0; Ap < A.space().numAccessPoints(); ++Ap) {
+    const BECAnalysis::PointSummary &S = A.summary(Ap);
+    D.add(S.LiveAfter);
+    D.add(S.MaskedMask);
+    D.add(S.NumProbes);
+  }
+  return D.H;
+}
+
+/// The coalescing result, recorded from the solver that rescanned every
+/// fault site in every round. Kernels are pinned under the default options
+/// and the three ablations; the generated programs under the defaults.
+TEST(BEC, ClassesArePinned) {
+  struct Pin {
+    const char *Name;
+    uint64_t Full, NoEval, NoBitwise, LocalOnly;
+  };
+  const Pin Pins[] = {
+      {"bitcount", 0xc7d2d8adae7f61ce, 0xc7d2d8adae7f61ce, 0xa6f3351b562e5e2f,
+       0xc7d2d8adae7f61ce},
+      {"dijkstra", 0xaa19f11a54e13c68, 0xaa19f11a54e13c68, 0x559ff6d32c9fca1d,
+       0xaa19f11a54e13c68},
+      {"CRC32", 0x261d268e2804ea02, 0x3178060ad5b98383, 0x28f01ed5550da10a,
+       0x3178060ad5b98383},
+      {"adpcm_enc", 0x9ab875c730aff270, 0xc3906df8012c6cea, 0x5e3db8d025b6bf80,
+       0x37f18fa1c5939a61},
+      {"adpcm_dec", 0x584c799cbe52059d, 0x30e668f22809a7ff, 0xe4e6cd132dd2f051,
+       0xce66d17016eb52c0},
+      {"AES", 0xaf66ff16bb5bc1b0, 0x8ffa9ae8b053646a, 0x8f228716a5877be8,
+       0x787fb9d4a389917a},
+      {"RSA", 0x91014ba8c283a8c4, 0x91014ba8c283a8c4, 0x91014ba8c283a8c4,
+       0x91014ba8c283a8c4},
+      {"SHA", 0xe8ef2094537ffa5f, 0x564beab2f03b0bd2, 0x8fdcb8e88d02764f,
+       0x71ae95b9b1e612ee},
+  };
+  const uint64_t GeneratedPin = 0xc826820a977a7da2;
+  ASSERT_EQ(std::size(Pins), allWorkloads().size());
+  BECOptions NoEval, NoBitwise, LocalOnly;
+  NoEval.Fates.EvalRules = false;
+  NoBitwise.Fates.BitwiseRules = false;
+  LocalOnly.GlobalBitValues = false;
+  for (size_t K = 0; K < std::size(Pins); ++K) {
+    const Workload &W = allWorkloads()[K];
+    ASSERT_EQ(W.Name, Pins[K].Name);
+    Program Prog = loadWorkload(W);
+    uint64_t Got[] = {classDigest(BECAnalysis::run(Prog)),
+                      classDigest(BECAnalysis::run(Prog, NoEval)),
+                      classDigest(BECAnalysis::run(Prog, NoBitwise)),
+                      classDigest(BECAnalysis::run(Prog, LocalOnly))};
+    uint64_t Want[] = {Pins[K].Full, Pins[K].NoEval, Pins[K].NoBitwise,
+                       Pins[K].LocalOnly};
+    for (size_t O = 0; O < std::size(Got); ++O)
+      EXPECT_EQ(Got[O], Want[O])
+          << W.Name << " options " << O << std::hex << " 0x" << Got[O];
+  }
+  Digest Generated;
+  for (uint64_t I = 0; I < 300; ++I) {
+    fuzz::GeneratedProgram G =
+        fuzz::generateProgram(fuzz::programSeed(0xc1a55e5ull, I));
+    ASSERT_TRUE(G.Error.empty()) << G.Error;
+    Generated.add(classDigest(BECAnalysis::run(G.Prog)));
+  }
+  EXPECT_EQ(Generated.H, GeneratedPin) << std::hex << "0x" << Generated.H;
+}
 
 } // namespace

@@ -892,6 +892,16 @@ TEST(Driver, HelpMatchesGolden) {
   EXPECT_EQ(BadFlag.Err, "bec: unknown option '--bogus'\n" + Golden);
 }
 
+/// `bec analyze --all --format json` is pinned byte for byte: every
+/// number in it comes out of the static analyses and the trace metrics.
+TEST(Driver, AnalyzeAllMatchesGolden) {
+  std::string Golden = slurp(BEC_TESTS_DIR "/golden/analyze_all.json");
+  ASSERT_FALSE(Golden.empty());
+  DriverRun R = run({"analyze", "--all", "--format", "json"});
+  EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
+  EXPECT_EQ(R.Out, Golden);
+}
+
 TEST(Driver, HelpAndListWorkloads) {
   DriverRun Help = run({"--help"});
   EXPECT_EQ(Help.Status, tool::ExitSuccess);
