@@ -14,9 +14,9 @@
 ///  * **Subcommand queries** reproduce the five `bec` CLI pipelines
 ///    (AnalyzeQuery, CampaignCmdQuery, ScheduleCmdQuery, HardenCmdQuery,
 ///    ReportCmdQuery) as cached result objects carrying an Error field —
-///    the driver shrinks to argument parsing plus rendering, and any
-///    library consumer gets the same pipelines (and `--jobs`-style
-///    parallelism via Session::evaluateAll) for free.
+///    serve::runCommand evaluates and renders them for `bec` and becd
+///    alike, and any library consumer gets the same pipelines (and
+///    `--jobs`-style parallelism via Session::evaluateAll) for free.
 ///
 /// The selective hardener's measure-and-accept loop also lives behind this
 /// interface (hardenProgram(AnalysisSession&, ...)): every candidate

@@ -10,23 +10,15 @@
 #include "obs/SpanRing.h"
 #include "obs/Trace.h"
 #include "support/Json.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
 #include <exception>
 
 using namespace bec;
 using namespace bec::serve;
 
 namespace {
-
-// The service mirrors the driver's exit-code contract (tools/Driver.h)
-// without depending on it: the wire result's "exit" field is what a local
-// `bec <subcommand>` would have returned.
-constexpr int ExitSuccess = 0;
-constexpr int ExitBadInput = 2;
-constexpr int ExitUnsound = 3;
 
 std::string hexEncode(std::string_view Bytes) {
   static const char Digits[] = "0123456789abcdef";
@@ -37,37 +29,6 @@ std::string hexEncode(std::string_view Bytes) {
     Out += Digits[C & 0xF];
   }
   return Out;
-}
-
-/// The shared result shape of the five subcommand methods.
-std::string commandResult(bool Json, const std::string &Output,
-                          const std::string &Diag, int Exit,
-                          const std::string &EmitAsm) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("format").value(Json ? "json" : "text");
-  W.key("exit").value(int64_t(Exit));
-  W.key("output").value(Output);
-  if (!Diag.empty())
-    W.key("diag").value(Diag);
-  if (!EmitAsm.empty())
-    W.key("emit").value(EmitAsm);
-  W.endObject();
-  return W.take();
-}
-
-/// Per-target error reporting, identical to the driver's epilogue.
-template <class R>
-int diagErrors(const std::vector<std::string> &Names,
-               const std::vector<std::shared_ptr<const R>> &Results,
-               std::string &Diag) {
-  int Exit = ExitSuccess;
-  for (size_t I = 0; I < Results.size(); ++I)
-    if (!Results[I]->Error.empty()) {
-      Diag += "bec: " + Names[I] + ": " + Results[I]->Error + "\n";
-      Exit = ExitBadInput;
-    }
-  return Exit;
 }
 
 } // namespace
@@ -87,21 +48,6 @@ Service::Outcome Service::fail(ErrorCode C, std::string Message,
 }
 
 namespace {
-
-/// The served method names; PerMethod keys come only from this list, so
-/// a client cycling through bogus names cannot grow the daemon's stats
-/// map without bound.
-bool isKnownMethod(const std::string &M) {
-  static const char *const Known[] = {"version",  "stats",   "shutdown",
-                                      "intern",   "counts",  "analyze",
-                                      "campaign", "campaign/run",
-                                      "schedule", "harden",  "report",
-                                      "metrics",  "trace/dump", "log/level"};
-  for (const char *K : Known)
-    if (M == K)
-      return true;
-  return false;
-}
 
 /// The per-method latency histogram, keyed by sanitized method name (the
 /// known list plus "unknown", so the metric family stays bounded like
@@ -135,9 +81,12 @@ std::string Service::handleFrameStreaming(std::string_view Line,
   CtrRequests.add();
   GaugeInflight.add(1);
   ParsedFrame F = parseRequestFrame(Line);
+  // PerMethod keys are served method names only, so a client cycling
+  // through bogus names cannot grow the daemon's stats map without bound.
   const std::string StatName =
-      F.Req ? (isKnownMethod(F.Req->Method) ? F.Req->Method : "unknown")
-            : "unknown";
+      F.Req && (methodOf(F.Req->Method) || commandOfMethod(F.Req->Method))
+          ? F.Req->Method
+          : "unknown";
   obs::ScopedTimerUs Timer(methodHistogram(StatName));
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
@@ -196,36 +145,29 @@ std::string Service::handleFrameStreaming(std::string_view Line,
                   : makeResultFrame(R.Id, O.ResultJson);
 }
 
+Service::Method Service::methodOf(std::string_view Name) {
+  static const std::pair<std::string_view, Method> Table[] = {
+      {"version", &Service::methodVersion},
+      {"stats", &Service::methodStats},
+      {"metrics", &Service::methodMetrics},
+      {"trace/dump", &Service::methodTraceDump},
+      {"log/level", &Service::methodLogLevel},
+      {"shutdown", &Service::methodShutdown},
+      {"intern", &Service::methodIntern},
+      {"counts", &Service::methodCounts}};
+  for (const auto &[N, M] : Table)
+    if (N == Name)
+      return M;
+  return nullptr;
+}
+
 Service::Outcome Service::dispatch(const Request &R, const FrameSink &Sink) {
-  const JsonValue &P = R.Params;
-  if (R.Method == "version")
-    return methodVersion();
-  if (R.Method == "stats")
-    return methodStats();
-  if (R.Method == "metrics")
-    return methodMetrics();
-  if (R.Method == "trace/dump")
-    return methodTraceDump(P);
-  if (R.Method == "log/level")
-    return methodLogLevel(P);
-  if (R.Method == "shutdown")
-    return methodShutdown();
-  if (R.Method == "intern")
-    return methodIntern(P);
-  if (R.Method == "counts")
-    return methodCounts(P);
-  if (R.Method == "analyze")
-    return methodAnalyze(P);
-  if (R.Method == "campaign")
-    return methodCampaign(P, R.Id, /*Sink=*/nullptr);
-  if (R.Method == "campaign/run")
-    return methodCampaign(P, R.Id, Sink);
-  if (R.Method == "schedule")
-    return methodSchedule(P);
-  if (R.Method == "harden")
-    return methodHarden(P);
-  if (R.Method == "report")
-    return methodReport(P);
+  if (Method M = methodOf(R.Method))
+    return (this->*M)(R.Params);
+  // Only the streaming campaign/run sends progress frames.
+  if (std::optional<CommandKind> K = commandOfMethod(R.Method))
+    return methodCommand(*K, R.Params, R.Id,
+                         R.Method == "campaign/run" ? Sink : nullptr);
   return fail(ErrorCode::MethodNotFound,
               "unknown method '" + R.Method + "'");
 }
@@ -264,115 +206,11 @@ CachedProgramPtr Service::resolveOne(const std::string &Name,
   return It->second;
 }
 
-bool Service::resolveTargets(const JsonValue &Params, Targets &Out,
-                             Outcome &Err) {
-  std::vector<std::string> Requested;
-  if (const JsonValue *TV = Params.member("targets")) {
-    if (!TV->isNull()) {
-      const std::vector<JsonValue> *Arr = TV->asArray();
-      if (!Arr) {
-        Err = fail(ErrorCode::InvalidParams,
-                   "'targets' must be an array of strings");
-        return false;
-      }
-      for (const JsonValue &E : *Arr) {
-        const std::string *Name = E.asString();
-        if (!Name) {
-          Err = fail(ErrorCode::InvalidParams,
-                     "'targets' must be an array of strings");
-          return false;
-        }
-        Requested.push_back(*Name);
-      }
-    }
-  }
-  if (Requested.empty())
-    for (const Workload &W : allWorkloads())
-      Requested.push_back(W.Name);
-
-  for (const std::string &Name : Requested) {
-    std::string Canonical;
-    CachedProgramPtr Shard = resolveOne(Name, Canonical);
-    if (!Shard) {
-      Err = fail(ErrorCode::BadTarget,
-                 "unknown target '" + Name +
-                     "' (bundled workload or interned program name)");
-      return false;
-    }
-    // Duplicate selections collapse, exactly as the CLI's target loading.
-    bool Seen = false;
-    for (const std::string &Existing : Out.Names)
-      Seen |= Existing == Canonical;
-    if (Seen)
-      continue;
-    Out.Names.push_back(std::move(Canonical));
-    Out.Progs.push_back(std::move(Shard));
-  }
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Method implementations
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Parses the optional "format" param ("text" default | "json").
-bool parseFormat(const JsonValue &Params, bool &Json, std::string &Err) {
-  Json = false;
-  const JsonValue *F = Params.member("format");
-  if (!F)
-    return true;
-  const std::string *Sp = F->asString();
-  if (Sp) {
-    std::string K = toLowerAscii(*Sp);
-    if (K == "json") {
-      Json = true;
-      return true;
-    }
-    if (K == "text")
-      return true;
-  }
-  Err = "unknown 'format' (want text | json)";
-  return false;
-}
-
-/// Parses the optional "jobs" param (per-request target parallelism,
-/// mirroring the CLI's --jobs; 0 = hardware concurrency, default 1).
-bool parseJobs(const JsonValue &Params, unsigned &Jobs, std::string &Err) {
-  Jobs = 1;
-  const JsonValue *J = Params.member("jobs");
-  if (!J)
-    return true;
-  std::optional<uint64_t> N = J->asU64();
-  if (!N || *N > 1u << 16) {
-    Err = "'jobs' must be a small unsigned integer";
-    return false;
-  }
-  Jobs = static_cast<unsigned>(*N);
-  return true;
-}
-
-/// Runs query \p Q over every resolved target; results in target order.
-/// Multi-target requests fan out on a per-request pool (CPU-bound, so
-/// clamped to the core count like every analysis pool), matching what
-/// the same command would do locally with --jobs.
-template <class Q>
-std::vector<std::shared_ptr<const typename Q::Result>>
-evalOver(AnalysisSession &S, const std::vector<CachedProgramPtr> &Progs,
-         const typename Q::Options &Opts = {}, unsigned Jobs = 1) {
-  std::vector<std::shared_ptr<const typename Q::Result>> Results(
-      Progs.size());
-  ThreadPool Pool(Progs.size() > 1 ? ThreadPool::clampJobs(Jobs) : 1);
-  for (size_t I = 0; I < Progs.size(); ++I)
-    Pool.submit([&, I] { Results[I] = S.get<Q>(Progs[I], Opts); });
-  Pool.wait();
-  return Results;
-}
-
-} // namespace
-
-Service::Outcome Service::methodVersion() {
+Service::Outcome Service::methodVersion(const JsonValue &) {
   JsonWriter W;
   W.beginObject();
   W.key("bec").value("becd");
@@ -385,7 +223,7 @@ Service::Outcome Service::methodVersion() {
   return O;
 }
 
-Service::Outcome Service::methodStats() {
+Service::Outcome Service::methodStats(const JsonValue &) {
   ServiceCounters C = counters();
   SessionStats SS = S.stats();
   size_t Programs;
@@ -441,7 +279,7 @@ Service::Outcome Service::methodStats() {
   return O;
 }
 
-Service::Outcome Service::methodMetrics() {
+Service::Outcome Service::methodMetrics(const JsonValue &) {
   JsonWriter W;
   W.beginObject();
   W.key("content_type").value("text/plain; version=0.0.4");
@@ -503,7 +341,7 @@ Service::Outcome Service::methodLogLevel(const JsonValue &Params) {
   return O;
 }
 
-Service::Outcome Service::methodShutdown() {
+Service::Outcome Service::methodShutdown(const JsonValue &) {
   Shutdown.store(true);
   Outcome O;
   O.ResultJson = "{\"ok\":true}";
@@ -571,286 +409,44 @@ Service::Outcome Service::methodCounts(const JsonValue &Params) {
   return O;
 }
 
-Service::Outcome Service::methodAnalyze(const JsonValue &Params) {
-  Targets T;
-  Outcome Err;
-  if (!resolveTargets(Params, T, Err))
-    return Err;
-  bool Json;
-  std::string FmtErr;
-  if (!parseFormat(Params, Json, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-  unsigned Jobs;
-  if (!parseJobs(Params, Jobs, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-
-  auto Results = evalOver<AnalyzeQuery>(S, T.Progs, {}, Jobs);
-  std::string Output = Json ? renderAnalyzeJson(T.Names, Results)
-                            : renderAnalyzeText(T.Names, Results);
-  std::string Diag;
-  int Exit = diagErrors(T.Names, Results, Diag);
-  Outcome O;
-  O.ResultJson = commandResult(Json, Output, Diag, Exit, {});
-  return O;
-}
-
-Service::Outcome Service::methodCampaign(const JsonValue &Params, uint64_t Id,
-                                         const FrameSink &Sink) {
-  Targets T;
-  Outcome Err;
-  if (!resolveTargets(Params, T, Err))
-    return Err;
-  bool Json;
-  std::string FmtErr;
-  if (!parseFormat(Params, Json, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-  unsigned Jobs;
-  if (!parseJobs(Params, Jobs, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-
-  CampaignCmdQuery::Options Opts;
-  if (const JsonValue *PV = Params.member("plan")) {
-    const std::string *Sp = PV->asString();
-    std::string K = Sp ? toLowerAscii(*Sp) : std::string();
-    if (K == "exhaustive")
-      Opts.Plan = PlanKind::Exhaustive;
-    else if (K == "value")
-      Opts.Plan = PlanKind::ValueLevel;
-    else if (K == "bit")
-      Opts.Plan = PlanKind::BitLevel;
-    else
-      return fail(ErrorCode::InvalidParams,
-                  "unknown 'plan' (want exhaustive | value | bit)");
-  }
-  if (const JsonValue *MC = Params.member("max_cycles")) {
-    std::optional<uint64_t> N = MC->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'max_cycles' must be an unsigned integer");
-    Opts.MaxCycles = *N;
-  }
-  if (const JsonValue *SV = Params.member("sample")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'sample' must be an unsigned integer");
-    Opts.SampleSize = *N;
-  }
-  if (const JsonValue *SV = Params.member("seed")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'seed' must be an unsigned integer");
-    Opts.SampleSeed = *N;
-  }
-  if (const JsonValue *TV = Params.member("threads")) {
-    std::optional<uint64_t> N = TV->asU64();
-    if (!N || *N > 1u << 16)
-      return fail(ErrorCode::InvalidParams,
-                  "'threads' must be a small unsigned integer");
-    // CPU-bound engine pool: clamp to the core count like every other
-    // analysis pool (0 = hardware concurrency).
-    Opts.Exec.Threads = ThreadPool::clampJobs(static_cast<unsigned>(*N));
-  }
-  if (const JsonValue *SV = Params.member("shard_size")) {
-    std::optional<uint64_t> N = SV->asU64();
-    if (!N || *N == 0)
-      return fail(ErrorCode::InvalidParams,
-                  "'shard_size' must be a positive integer");
-    Opts.Exec.ShardSize = *N;
-  }
-  bool WantProgress = false;
-  if (const JsonValue *PV = Params.member("progress")) {
-    std::optional<bool> B = PV->asBool();
-    if (!B)
-      return fail(ErrorCode::InvalidParams, "'progress' must be a boolean");
-    WantProgress = *B;
-  }
-
-  // Per-target evaluation (target order preserved) with an optional
-  // progress stream. Campaign options differing only in Exec fingerprint
-  // identically, so this shares cache entries with the plain `campaign`
-  // method. Progress frames are serialized: transports see one frame at
-  // a time, and none after the final result is returned.
-  std::vector<std::shared_ptr<const CampaignCmdResult>> Results(
-      T.Progs.size());
-  std::mutex SinkMutex;
-  ThreadPool Pool(T.Progs.size() > 1 ? ThreadPool::clampJobs(Jobs) : 1);
-  for (size_t I = 0; I < T.Progs.size(); ++I)
-    Pool.submit([&, I] {
-      CampaignCmdQuery::Options O = Opts;
-      if (WantProgress && Sink) {
-        std::string Target = T.Names[I];
-        O.Exec.OnProgress =
-            throttledProgress([&, Target](const CampaignProgress &P) {
-              JsonWriter W;
-              W.beginObject();
-              W.key("target").value(Target);
-              W.key("shards_done").value(P.ShardsDone);
-              W.key("shards").value(P.TotalShards);
-              W.key("runs_done").value(P.RunsDone);
-              W.key("runs").value(P.TotalRuns);
-              // Engine telemetry (additive; absent in older servers):
-              // executed runs + elapsed give throughput, steals/rebuilds
-              // explain flat thread scaling.
-              W.key("executed_runs").value(P.ExecutedRuns);
-              W.key("elapsed_s").value(P.ElapsedSeconds);
-              W.key("steals").value(P.Steals);
-              W.key("snapshot_rebuilds").value(P.SnapshotRebuilds);
-              W.endObject();
-              std::lock_guard<std::mutex> Lock(SinkMutex);
-              Sink(makeProgressFrame(Id, W.take()));
-            });
-      }
-      Results[I] = S.get<CampaignCmdQuery>(T.Progs[I], O);
-    });
-  Pool.wait();
-
-  std::string Output = Json ? renderCampaignJson(T.Names, Results, Opts.Plan)
-                            : renderCampaignText(T.Names, Results, Opts.Plan);
-  std::string Diag;
-  int Exit = diagErrors(T.Names, Results, Diag);
-  Outcome O;
-  O.ResultJson = commandResult(Json, Output, Diag, Exit, {});
-  return O;
-}
-
-Service::Outcome Service::methodSchedule(const JsonValue &Params) {
-  Targets T;
-  Outcome Err;
-  if (!resolveTargets(Params, T, Err))
-    return Err;
-  bool Json;
-  std::string FmtErr;
-  if (!parseFormat(Params, Json, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-  unsigned Jobs;
-  if (!parseJobs(Params, Jobs, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-
-  int EmitPolicy = -1; // 0 = source, 1 = best, 2 = worst.
-  if (const JsonValue *E = Params.member("emit")) {
-    const std::string *Sp = E->asString();
-    std::string K = Sp ? toLowerAscii(*Sp) : std::string();
-    if (K == "source")
-      EmitPolicy = 0;
-    else if (K == "best")
-      EmitPolicy = 1;
-    else if (K == "worst")
-      EmitPolicy = 2;
-    else
-      return fail(ErrorCode::InvalidParams,
-                  "unknown 'emit' policy (want source | best | worst)");
-    if (T.Names.size() != 1)
-      return fail(ErrorCode::InvalidParams,
-                  "'emit' requires exactly one target");
-  }
-
-  auto Results = evalOver<ScheduleCmdQuery>(S, T.Progs, {}, Jobs);
-  std::string Output = Json ? renderScheduleJson(T.Names, Results)
-                            : renderScheduleText(T.Names, Results);
-  std::string Diag;
-  int Exit = diagErrors(T.Names, Results, Diag);
-  std::string Emit;
-  if (EmitPolicy >= 0 && Exit == ExitSuccess)
-    Emit = Results[0]->PolicyAsm[EmitPolicy];
-  Outcome O;
-  O.ResultJson = commandResult(Json, Output, Diag, Exit, Emit);
-  return O;
-}
-
-Service::Outcome Service::methodHarden(const JsonValue &Params) {
-  Targets T;
-  Outcome Err;
-  if (!resolveTargets(Params, T, Err))
-    return Err;
-  bool Json;
-  std::string FmtErr;
-  if (!parseFormat(Params, Json, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-  unsigned Jobs;
-  if (!parseJobs(Params, Jobs, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-
-  HardenCmdQuery::Options Opts;
-  if (const JsonValue *BV = Params.member("budgets")) {
-    const std::vector<JsonValue> *Arr = BV->asArray();
-    if (!Arr || Arr->empty())
-      return fail(ErrorCode::InvalidParams,
-                  "'budgets' must be a non-empty array of numbers");
-    Opts.Budgets.clear();
-    for (const JsonValue &E : *Arr) {
-      std::optional<double> B = E.asDouble();
-      if (!B || !(*B >= 0))
-        return fail(ErrorCode::InvalidParams,
-                    "'budgets' entries must be non-negative numbers");
-      Opts.Budgets.push_back(*B);
+Service::Outcome Service::methodCommand(CommandKind K,
+                                        const JsonValue &Params, uint64_t Id,
+                                        const FrameSink &Sink) {
+  std::string Why;
+  std::optional<CommandRequest> Req = decode(K, Params, Why);
+  if (!Req)
+    return fail(ErrorCode::InvalidParams, Why);
+  std::vector<std::string> Requested = Req->Targets;
+  if (Requested.empty())
+    for (const Workload &W : allWorkloads())
+      Requested.push_back(W.Name);
+  std::vector<std::string> Names;
+  std::vector<CachedProgramPtr> Progs;
+  for (const std::string &Name : Requested) {
+    std::string Canonical;
+    CachedProgramPtr Shard = resolveOne(Name, Canonical);
+    if (!Shard)
+      return fail(ErrorCode::BadTarget,
+                  "unknown target '" + Name +
+                      "' (bundled workload or interned program name)");
+    // Duplicate selections collapse, exactly as the CLI's target loading.
+    if (std::find(Names.begin(), Names.end(), Canonical) == Names.end()) {
+      Names.push_back(std::move(Canonical));
+      Progs.push_back(std::move(Shard));
     }
   }
-  bool EmitAsm = false;
-  if (const JsonValue *E = Params.member("emit")) {
-    std::optional<bool> B = E->asBool();
-    if (!B)
-      return fail(ErrorCode::InvalidParams, "'emit' must be a boolean");
-    EmitAsm = *B;
-    if (EmitAsm && (T.Names.size() != 1 || Opts.Budgets.size() != 1))
-      return fail(ErrorCode::InvalidParams,
-                  "'emit' requires exactly one target and one budget");
-  }
+  if ((Req->EmitSchedule || Req->EmitHardened) &&
+      (Names.size() != 1 || Req->Harden.Budgets.size() != 1))
+    return fail(ErrorCode::InvalidParams,
+                "'emit' requires exactly one target and one budget");
 
-  auto Results = evalOver<HardenCmdQuery>(S, T.Progs, Opts, Jobs);
-  std::string Output = Json ? renderHardenJson(T.Names, Results, Opts.Budgets)
-                            : renderHardenText(T.Names, Results, Opts.Budgets);
-  std::string Diag;
-  int Exit = diagErrors(T.Names, Results, Diag);
-  if (Exit == ExitSuccess)
-    for (size_t I = 0; I < Results.size(); ++I)
-      for (const HardenPoint &P : Results[I]->Points)
-        if (!P.Check.ok()) {
-          Diag += "bec: " + T.Names[I] +
-                  ": hardened program failed validation\n";
-          Exit = ExitUnsound;
-        }
-  std::string Emit;
-  if (EmitAsm && Exit == ExitSuccess)
-    Emit = Results[0]->Points[0].Harden.HP.Prog.toString();
+  ProgressHook OnProgress;
+  if (Sink)
+    OnProgress = [&](const std::string &Target, const CampaignProgress &P) {
+      Sink(makeProgressFrame(Id, progressJson(Target, P)));
+    };
   Outcome O;
-  O.ResultJson = commandResult(Json, Output, Diag, Exit, Emit);
-  return O;
-}
-
-Service::Outcome Service::methodReport(const JsonValue &Params) {
-  Targets T;
-  Outcome Err;
-  if (!resolveTargets(Params, T, Err))
-    return Err;
-  bool Json;
-  std::string FmtErr;
-  if (!parseFormat(Params, Json, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-  unsigned Jobs;
-  if (!parseJobs(Params, Jobs, FmtErr))
-    return fail(ErrorCode::InvalidParams, FmtErr);
-
-  ReportCmdQuery::Options Opts;
-  if (const JsonValue *MC = Params.member("max_cycles")) {
-    std::optional<uint64_t> N = MC->asU64();
-    if (!N)
-      return fail(ErrorCode::InvalidParams,
-                  "'max_cycles' must be an unsigned integer");
-    Opts.MaxCycles = *N;
-  }
-
-  auto Results = evalOver<ReportCmdQuery>(S, T.Progs, Opts, Jobs);
-  std::string Output = Json ? renderReportJson(T.Names, Results)
-                            : renderReportText(T.Names, Results);
-  std::string Diag;
-  int Exit = diagErrors(T.Names, Results, Diag);
-  if (Exit == ExitSuccess)
-    for (const auto &R : Results)
-      if (!R->Validation.sound())
-        Exit = ExitUnsound;
-  Outcome O;
-  O.ResultJson = commandResult(Json, Output, Diag, Exit, {});
+  O.ResultJson = resultJson(
+      runCommand(S, Names, Progs, *Req, {}, OnProgress), Req->Json);
   return O;
 }

@@ -12,32 +12,13 @@
 /// serve::Client::loopback. Over TCP, becd serves it on the net/ event
 /// loop (net/EventLoop.h), with handleFrameStreaming as the handler.
 ///
-/// Method table (params and result shapes in docs/serve.md):
-///
-///   version   server API/protocol/build identification
-///   analyze | campaign | schedule | harden | report
-///             the five `bec` subcommands over named targets, rendered
-///             through api/Serialize.h — byte-identical to local output
-///   campaign/run
-///             the campaign subcommand as a *streaming* method: when its
-///             params set "progress":true, per-shard progress frames are
-///             emitted before the final (identical) result. The one
-///             method that uses handleFrameStreaming's sink.
-///   counts    one target's Table-III counts as a structured object
-///   intern    assemble inline asm text and pool it under a client name
-///   stats     server counters, per-method latency histograms (count /
-///             p50 / p99 / mean), live gauges, and session cache
-///             statistics including the hit rate
-///   metrics   every obs-registry metric in the Prometheus text
-///             exposition format (counters, gauges, full histograms) —
-///             the daemon's scrape endpoint
-///   trace/dump
-///             spans this daemon recorded for requests that carried a
-///             `trace` envelope context (obs/SpanRing.h), optionally
-///             filtered by trace id — the collection half of
-///             distributed tracing (`--trace-out` over `--remote`)
-///   log/level get or set the structured-log level at runtime
-///   shutdown  begin graceful shutdown
+/// The five subcommand methods (analyze, campaign and its streaming form
+/// campaign/run, schedule, harden, report) decode their params into a
+/// serve::CommandRequest and run it through serve/Commands.h's
+/// runCommand, the function a local `bec` run calls, so output and exit
+/// code are the local ones. The other methods (version, stats, metrics,
+/// trace/dump, log/level, shutdown, intern, counts) are one table,
+/// methodOf. Params and result shapes: docs/serve.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +26,7 @@
 #define BEC_SERVE_SERVICE_H
 
 #include "api/AnalysisSession.h"
+#include "serve/Commands.h"
 #include "serve/Protocol.h"
 
 #include <atomic>
@@ -118,37 +100,29 @@ private:
   static Outcome fail(ErrorCode C, std::string Message,
                       std::string DataJson = {});
 
-  /// A resolved target list: parallel canonical names and shards.
-  struct Targets {
-    std::vector<std::string> Names;
-    std::vector<CachedProgramPtr> Progs;
-  };
-
   Outcome dispatch(const Request &R, const FrameSink &Sink);
-  /// Resolves params["targets"] (default: all bundled workloads),
-  /// collapsing duplicates as the CLI does. False on unknown names, with
-  /// \p Err filled.
-  bool resolveTargets(const JsonValue &Params, Targets &Out, Outcome &Err);
   /// One name: interned program, bundled workload (any case), or null.
   CachedProgramPtr resolveOne(const std::string &Name,
                               std::string &Canonical);
 
-  Outcome methodVersion();
-  Outcome methodStats();
-  Outcome methodMetrics();
+  /// The handler of a method other than the five subcommands; null for
+  /// those and for unknown names.
+  using Method = Outcome (Service::*)(const JsonValue &Params);
+  static Method methodOf(std::string_view Name);
+
+  Outcome methodVersion(const JsonValue &);
+  Outcome methodStats(const JsonValue &);
+  Outcome methodMetrics(const JsonValue &);
   Outcome methodTraceDump(const JsonValue &Params);
   Outcome methodLogLevel(const JsonValue &Params);
-  Outcome methodShutdown();
+  Outcome methodShutdown(const JsonValue &);
   Outcome methodIntern(const JsonValue &Params);
   Outcome methodCounts(const JsonValue &Params);
-  Outcome methodAnalyze(const JsonValue &Params);
-  /// One implementation serves both `campaign` (no sink) and
-  /// `campaign/run` (progress frames for request \p Id through \p Sink).
-  Outcome methodCampaign(const JsonValue &Params, uint64_t Id,
-                         const FrameSink &Sink);
-  Outcome methodSchedule(const JsonValue &Params);
-  Outcome methodHarden(const JsonValue &Params);
-  Outcome methodReport(const JsonValue &Params);
+  /// The five subcommand methods: decode, resolve targets, runCommand.
+  /// Campaign progress frames for request \p Id go to \p Sink (null for
+  /// every method but campaign/run).
+  Outcome methodCommand(CommandKind K, const JsonValue &Params, uint64_t Id,
+                        const FrameSink &Sink);
 
   AnalysisSession S;
 

@@ -88,14 +88,15 @@ public:
     Out += V ? "true" : "false";
     return *this;
   }
-  JsonWriter &value(double V) {
+  /// \p Digits significant digits; 17 round-trips every double exactly.
+  JsonWriter &value(double V, int Digits = 6) {
     comma();
     if (!std::isfinite(V)) {
       Out += "null"; // JSON has no Inf/NaN.
       return *this;
     }
     char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
+    std::snprintf(Buf, sizeof(Buf), "%.*g", Digits, V);
     Out += Buf;
     return *this;
   }

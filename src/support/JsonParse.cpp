@@ -32,17 +32,20 @@ std::optional<bool> JsonValue::asBool() const {
 std::optional<double> JsonValue::asDouble() const {
   if (K != Kind::Number)
     return std::nullopt;
-  return IsInt ? static_cast<double>(Int) : Num;
+  if (!IsInt)
+    return Num;
+  return Big ? static_cast<double>(static_cast<uint64_t>(Int))
+             : static_cast<double>(Int);
 }
 
 std::optional<int64_t> JsonValue::asI64() const {
-  if (K != Kind::Number || !IsInt)
+  if (K != Kind::Number || !IsInt || Big)
     return std::nullopt;
   return Int;
 }
 
 std::optional<uint64_t> JsonValue::asU64() const {
-  if (K != Kind::Number || !IsInt || Int < 0)
+  if (K != Kind::Number || !IsInt || (Int < 0 && !Big))
     return std::nullopt;
   return static_cast<uint64_t>(Int);
 }
@@ -132,7 +135,9 @@ void writeValue(JsonWriter &W, const JsonValue &V) {
     W.value(*V.asBool());
     return;
   case JsonValue::Kind::Number:
-    if (auto I = V.asI64())
+    if (auto U = V.asU64())
+      W.value(*U);
+    else if (auto I = V.asI64())
       W.value(*I);
     else
       W.value(*V.asDouble());
@@ -438,9 +443,13 @@ private:
     if (Integral) {
       errno = 0;
       char *End = nullptr;
-      long long V = std::strtoll(Literal.c_str(), &End, 10);
+      bool Negative = Literal[0] == '-';
+      int64_t V = Negative ? std::strtoll(Literal.c_str(), &End, 10)
+                           : static_cast<int64_t>(
+                                 std::strtoull(Literal.c_str(), &End, 10));
       if (errno == 0 && End == Literal.c_str() + Literal.size()) {
         Out.IsInt = true;
+        Out.Big = !Negative && V < 0;
         Out.Int = V;
         return true;
       }

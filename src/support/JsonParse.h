@@ -77,9 +77,12 @@ private:
   Kind K = Kind::Null;
   bool B = false;
   /// Numbers carry both representations: IsInt marks source literals with
-  /// no fraction/exponent that fit int64 (the common case for ids and
-  /// counters, where double would lose precision past 2^53).
+  /// no fraction/exponent that fit int64, or uint64 when non-negative (the
+  /// common case for ids, counters and seeds, where double would lose
+  /// precision past 2^53). Above INT64_MAX, Big is set and Int holds the
+  /// value's bits.
   bool IsInt = false;
+  bool Big = false;
   int64_t Int = 0;
   double Num = 0;
   std::string Str;

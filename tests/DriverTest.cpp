@@ -124,6 +124,25 @@ TEST(Driver, CampaignCheckpointResumeReportIsByteIdentical) {
   std::remove(Path.c_str());
 }
 
+TEST(Driver, CampaignProfileRecordsTheEngine) {
+  // --profile is a local-only input: the engine must collect its phases
+  // for the document to say anything.
+  std::string Path = testing::TempDir() + "/driver_campaign_profile.json";
+  std::remove(Path.c_str());
+  DriverRun R = run({"campaign", "--workload", "bitcount", "--max-cycles",
+                     "120", "--threads", "2", "--profile", Path});
+  EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
+  std::ifstream In(Path);
+  std::stringstream Doc;
+  Doc << In.rdbuf();
+  std::optional<JsonValue> V = parseJson(Doc.str());
+  ASSERT_TRUE(V.has_value()) << Doc.str();
+  EXPECT_EQ(V->member("collected")->asBool(), true);
+  ASSERT_NE(V->member("workers")->asArray(), nullptr);
+  EXPECT_FALSE(V->member("workers")->asArray()->empty());
+  std::remove(Path.c_str());
+}
+
 TEST(Driver, CampaignSampledReportsConfidenceIntervals) {
   DriverRun R = run({"campaign", "--workload", "bitcount", "--max-cycles",
                      "120", "--sample", "300", "--seed", "9"});

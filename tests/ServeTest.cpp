@@ -20,6 +20,7 @@
 #include "obs/Log.h"
 #include "obs/SpanRing.h"
 #include "serve/Client.h"
+#include "serve/Commands.h"
 #include "serve/Service.h"
 #include "support/JsonParse.h"
 
@@ -30,7 +31,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <set>
@@ -204,6 +207,117 @@ TEST(Protocol, HandshakeCompatibility) {
   Wrong = *H;
   Wrong.Server = "httpd";
   EXPECT_NE(handshakeIncompatibility(Wrong), "");
+}
+
+//===----------------------------------------------------------------------===//
+// The command codec (serve/Commands.h)
+//===----------------------------------------------------------------------===//
+
+/// Compares every wire field (the query options also hold callbacks and
+/// local-only fields, so requests have no operator==).
+void expectSameRequest(const CommandRequest &A, const CommandRequest &B,
+                       const std::string &Where) {
+  EXPECT_EQ(A.Cmd, B.Cmd) << Where;
+  EXPECT_EQ(A.Targets, B.Targets) << Where;
+  EXPECT_EQ(A.Json, B.Json) << Where;
+  EXPECT_EQ(A.Jobs, B.Jobs) << Where;
+  EXPECT_EQ(A.Campaign.Plan, B.Campaign.Plan) << Where;
+  EXPECT_EQ(A.Campaign.MaxCycles, B.Campaign.MaxCycles) << Where;
+  EXPECT_EQ(A.Campaign.SampleSize, B.Campaign.SampleSize) << Where;
+  EXPECT_EQ(A.Campaign.SampleSeed, B.Campaign.SampleSeed) << Where;
+  EXPECT_EQ(A.Campaign.Exec.Threads, B.Campaign.Exec.Threads) << Where;
+  EXPECT_EQ(A.Campaign.Exec.ShardSize, B.Campaign.Exec.ShardSize) << Where;
+  EXPECT_EQ(A.Progress, B.Progress) << Where;
+  EXPECT_EQ(A.EmitSchedule, B.EmitSchedule) << Where;
+  EXPECT_EQ(A.Harden.Budgets, B.Harden.Budgets) << Where;
+  EXPECT_EQ(A.EmitHardened, B.EmitHardened) << Where;
+  EXPECT_EQ(A.Report.MaxCycles, B.Report.MaxCycles) << Where;
+}
+
+const CommandKind AllKinds[] = {CommandKind::Analyze, CommandKind::Campaign,
+                                CommandKind::Schedule, CommandKind::Harden,
+                                CommandKind::Report};
+
+/// A request of method \p K with every field that method reads set away
+/// from its default; \p Edge is 0 or 2^64-1 for the unsigned params.
+CommandRequest fullRequest(CommandKind K, uint64_t Edge, PlanKind Plan,
+                           SchedulePolicy Policy) {
+  CommandRequest R;
+  R.Cmd = K;
+  R.Targets = {"bitcount", "CRC32", "dir/prog.s"};
+  R.Json = true;
+  R.Jobs = Edge ? 1u << 16 : 0;
+  switch (K) {
+  case CommandKind::Analyze:
+    break;
+  case CommandKind::Campaign:
+    R.Campaign.Plan = Plan;
+    R.Campaign.MaxCycles = Edge;
+    R.Campaign.SampleSize = Edge;
+    R.Campaign.SampleSeed = Edge;
+    R.Campaign.Exec.Threads = Edge ? 1u << 16 : 0;
+    R.Campaign.Exec.ShardSize = Edge;
+    R.Progress = true;
+    break;
+  case CommandKind::Schedule:
+    R.EmitSchedule = Policy;
+    break;
+  case CommandKind::Harden:
+    R.Harden.Budgets = {0.1, 12.345678901234567, 1e6};
+    R.EmitHardened = true;
+    break;
+  case CommandKind::Report:
+    R.Report.MaxCycles = Edge;
+    break;
+  }
+  return R;
+}
+
+TEST(Commands, DecodeOfEncodeIsTheRequest) {
+  for (CommandKind K : AllKinds)
+    for (uint64_t Edge : {uint64_t(0), UINT64_MAX})
+      for (PlanKind Plan : {PlanKind::Exhaustive, PlanKind::ValueLevel,
+                            PlanKind::BitLevel})
+        for (SchedulePolicy Policy : {SchedulePolicy::BestReliability,
+                                      SchedulePolicy::WorstReliability,
+                                      SchedulePolicy::SourceOrder}) {
+          CommandRequest R = fullRequest(K, Edge, Plan, Policy);
+          std::string Params = encode(R);
+          std::optional<JsonValue> V = parseJson(Params);
+          ASSERT_TRUE(V.has_value()) << Params;
+          std::string Err;
+          std::optional<CommandRequest> Back = decode(K, *V, Err);
+          ASSERT_TRUE(Back.has_value()) << Params << ": " << Err;
+          expectSameRequest(*Back, R, Params);
+        }
+  // The defaults round-trip too, and a three-budget sweep keeps its order.
+  CommandRequest Sweep;
+  Sweep.Cmd = CommandKind::Harden;
+  Sweep.Harden.Budgets = {5, 10, 2.5};
+  std::string Err;
+  for (const CommandRequest &R : {CommandRequest(), Sweep}) {
+    std::optional<CommandRequest> Back =
+        decode(R.Cmd, *parseJson(encode(R)), Err);
+    ASSERT_TRUE(Back.has_value()) << Err;
+    expectSameRequest(*Back, R, encode(R));
+  }
+}
+
+TEST(Commands, EveryParamEncodeWritesIsOneDecodeReads) {
+  // A key decode did not read could carry any value; one it reads
+  // refuses an object, which no param kind accepts.
+  for (CommandKind K : AllKinds) {
+    std::optional<JsonValue> Full = parseJson(encode(fullRequest(
+        K, 7, PlanKind::ValueLevel, SchedulePolicy::SourceOrder)));
+    ASSERT_TRUE(Full.has_value());
+    ASSERT_FALSE(Full->objectMembers().empty());
+    for (const auto &[Key, Value] : Full->objectMembers()) {
+      std::string Bad = "{\"" + Key + "\":{}}";
+      std::string Err;
+      EXPECT_FALSE(decode(K, *parseJson(Bad), Err).has_value()) << Bad;
+      EXPECT_NE(Err.find("'" + Key + "'"), std::string::npos) << Err;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -422,6 +536,8 @@ TEST(Loopback, BadParamsAndUnknownTargets) {
   EXPECT_EQ(C.call("harden", "{\"budgets\":[]}").Code,
             ErrorCode::InvalidParams);
   EXPECT_EQ(C.call("harden", "{\"budgets\":[-1]}").Code,
+            ErrorCode::InvalidParams);
+  EXPECT_EQ(C.call("harden", "{\"budgets\":[1e999]}").Code,
             ErrorCode::InvalidParams);
   EXPECT_EQ(C.call("intern", "{\"name\":\"x\"}").Code,
             ErrorCode::InvalidParams);
@@ -811,6 +927,9 @@ TEST(DriverServe, RemoteSubcommandsAreByteIdentical) {
       {"harden", "--all"},
       {"schedule", "--workload", "bitcount", "--format", "json"},
       {"report", "--workload", "bitcount", "--max-cycles", "300"},
+      {"campaign", "--workload", "bitcount", "--max-cycles", "300", "--sample",
+       "4", "--seed", "9223372036854775808"},
+      {"harden", "--workload", "crc32", "--sweep", "5,10"},
   };
   for (const std::vector<std::string> &Cmd : Commands) {
     DriverRun Local = runLocal(Cmd);
@@ -826,6 +945,28 @@ TEST(DriverServe, RemoteSubcommandsAreByteIdentical) {
               Timed ? maskSeconds(Local.Out) : Local.Out)
         << Cmd[0];
     EXPECT_EQ(Rem.Err, Local.Err) << Cmd[0];
+  }
+
+  // --emit writes the server's assembly locally: the files match too.
+  for (const auto &[Sub, Workload] :
+       {std::pair{"schedule", "bitcount"}, {"harden", "crc32"}}) {
+    std::string LocalFile = testing::TempDir() + "/emit_local_" + Sub + ".s";
+    std::string RemoteFile = testing::TempDir() + "/emit_remote_" + Sub + ".s";
+    DriverRun Local = runLocal({Sub, "--workload", Workload, "--emit",
+                                LocalFile});
+    DriverRun Rem = runLocal({Sub, "--workload", Workload, "--emit",
+                              RemoteFile, "--remote", Remote});
+    EXPECT_EQ(Rem.Status, Local.Status) << Sub;
+    EXPECT_EQ(Rem.Out, Local.Out) << Sub;
+    EXPECT_EQ(Rem.Err, Local.Err) << Sub;
+    auto Slurp = [](const std::string &Path) {
+      std::ifstream In(Path);
+      return std::string(std::istreambuf_iterator<char>(In), {});
+    };
+    EXPECT_FALSE(Slurp(LocalFile).empty()) << Sub;
+    EXPECT_EQ(Slurp(RemoteFile), Slurp(LocalFile)) << Sub;
+    std::remove(LocalFile.c_str());
+    std::remove(RemoteFile.c_str());
   }
 }
 

@@ -290,4 +290,23 @@ TEST(JsonParse, KeepsIntegerPrecision) {
   EXPECT_EQ(V->member("neg")->asI64(), -9007199254740993ll);
 }
 
+TEST(JsonParse, KeepsUnsignedIntegersAboveInt64) {
+  // Seeds, cycle windows and sample sizes are u64 params: 2^63 .. 2^64-1
+  // must stay exact instead of falling back to a double.
+  std::optional<JsonValue> V = parseJson(
+      "{\"max\":18446744073709551615,\"half\":9223372036854775808,"
+      "\"over\":18446744073709551616}");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->memberU64("max"), 18446744073709551615ull);
+  EXPECT_EQ(V->memberU64("half"), 9223372036854775808ull);
+  EXPECT_EQ(V->member("half")->asI64(), std::nullopt);
+  EXPECT_EQ(V->member("half")->asDouble(), 9223372036854775808.0);
+  // Past 2^64-1 a literal is only a double, as before.
+  EXPECT_EQ(V->memberU64("over"), std::nullopt);
+  EXPECT_EQ(V->member("over")->asDouble(), 18446744073709551616.0);
+  EXPECT_EQ(V->toJson(), "{\"max\":18446744073709551615,"
+                         "\"half\":9223372036854775808,"
+                         "\"over\":1.84467e+19}");
+}
+
 } // namespace

@@ -1,15 +1,11 @@
 //===- tools/Driver.cpp - The `bec` pipeline driver ------------------------===//
 //
-// The driver is a thin shell over api/Api.h: it parses the command line,
-// loads targets into an AnalysisSession, fans the per-target subcommand
-// queries out on a thread pool (Session::evaluateAll), and renders the
-// result objects through the shared api/Serialize.h serializer (tables or
-// JSON). All pipeline logic lives behind the session.
-//
-// With `--remote host:port` the analysis subcommands offload to a becd
-// server (src/serve/) instead: local argument parsing, remote execution
-// against the server's shared session pool, byte-identical output. `bec
-// serve` runs that server; `bec client` speaks the raw method table.
+// The driver parses the command line into a serve::CommandRequest and
+// runs it through serve/Commands.h's runCommand over an AnalysisSession
+// of the selected targets. With `--remote host:port` it sends the same
+// request to a becd server (src/serve/), which runs the same function:
+// byte-identical output. Either way one epilogue prints the outcome.
+// `bec serve` runs that server; `bec client` speaks its method table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +21,7 @@
 #include "obs/SpanRing.h"
 #include "obs/Trace.h"
 #include "serve/Client.h"
+#include "serve/Commands.h"
 #include "serve/Service.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
@@ -45,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -65,10 +63,12 @@ namespace {
 
 /// What to run. Help, ListWorkloads and Version print and exit before
 /// any subcommand work (and before --trace-out starts tracing).
+/// The first five are serve::CommandKind's, in its order.
 enum class Command { Analyze, Campaign, Schedule, Harden, Report, Fuzz,
                      Serve, Gateway, Client, Stats, Version, Help,
                      ListWorkloads };
-enum class OutputFormat { Text, Json };
+static_assert(unsigned(Command::Report) ==
+              unsigned(serve::CommandKind::Report));
 
 struct DriverOptions {
   Command Cmd = Command::Analyze;
@@ -77,28 +77,17 @@ struct DriverOptions {
   bool AllWorkloads = false;
   /// Unset: 1 for target pools, one per core for serve, 8 for gateway.
   std::optional<unsigned> Jobs;
-  PlanKind Plan = PlanKind::BitLevel;
-  /// campaign: sampling, engine parallelism, checkpointing, progress.
-  uint64_t SampleSize = 0;
-  uint64_t SampleSeed = 1;
-  /// Unset: 1 thread, and not forwarded to a server.
-  std::optional<unsigned> CampaignThreads;
-  uint64_t ShardSize = 0;
-  bool PrefixCheckpoint = true;
-  uint64_t CheckpointEveryK = 0;
-  std::string CheckpointPath;
-  bool Resume = false;
-  bool Progress = false;
+  /// What a subcommand runs, wherever it runs. fuzz reads its seed,
+  /// threads, window, progress and format from here too.
+  serve::CommandRequest Req;
+  /// campaign and fuzz: checkpointing, resume, profiling; never sent.
+  serve::LocalInputs Local;
   SchedulePolicy EmitPolicy = SchedulePolicy::BestReliability;
   std::string EmitPath;
-  uint64_t MaxCycles = 0;
-  /// harden: budgets to evaluate (one entry unless --sweep is given).
-  std::vector<double> Budgets = {10.0};
   uint64_t FuzzCount = 100;
   uint64_t FuzzBudget = 0;
   std::string BankDir;
   std::string EmitCorpusDir;
-  OutputFormat Format = OutputFormat::Text;
   bool Remote = false;
   std::string RemoteHost = "127.0.0.1";
   uint16_t RemotePort = serve::DefaultPort;
@@ -117,7 +106,6 @@ struct DriverOptions {
   /// client: method name followed by its positional arguments.
   std::vector<std::string> ClientArgs;
   std::string TraceOutPath;
-  std::string ProfilePath;
   uint64_t WatchSeconds = 0;
   bool StatsMetrics = false;
 };
@@ -137,28 +125,26 @@ constexpr CommandSet AnyCommand = ~CommandSet(0);
 struct Subcommand {
   const char *Name;
   Command Cmd;
-  /// The becd method it mirrors (`client` and --remote); "" if none.
-  const char *Method;
   /// --help text; lines after the first indent to column 13.
   const char *Blurb;
 };
 
 const Subcommand Subcommands[] = {
-    {"analyze", Command::Analyze, "analyze",
+    {"analyze", Command::Analyze,
      "Static fault-space metrics per target (Table III shape)."},
-    {"campaign", Command::Campaign, "campaign",
+    {"campaign", Command::Campaign,
      "Plan and execute a fault-injection campaign per target."},
-    {"schedule", Command::Schedule, "schedule",
+    {"schedule", Command::Schedule,
      "Vulnerability-aware list scheduling; vulnerability per policy."},
-    {"harden", Command::Harden, "harden",
+    {"harden", Command::Harden,
      "BEC-guided selective hardening under a dynamic-instruction\n"
      "budget; per target the reached cost/vulnerability Pareto\n"
      "point plus closed-loop validation. Exits 3 if any hardened\n"
      "program fails validation."},
-    {"report", Command::Report, "report",
+    {"report", Command::Report,
      "Full pipeline: metrics + bit-level campaign + soundness\n"
      "validation. Exits 3 if any target validates unsound."},
-    {"fuzz", Command::Fuzz, "",
+    {"fuzz", Command::Fuzz,
      "Differential soundness fuzzing: generate a seeded corpus of\n"
      "verifier-legal programs and cross-check the BEC-pruned\n"
      "campaign against exhaustive injection, plus print/parse\n"
@@ -166,20 +152,20 @@ const Subcommand Subcommands[] = {
      "session oracles. Mismatching programs are delta-debugged to\n"
      "1-minimal reproducers. Takes no targets; local only.\n"
      "Exits 3 on any mismatch."},
-    {"serve", Command::Serve, "",
+    {"serve", Command::Serve,
      "Run the becd analysis server: a shared, cached session pool\n"
      "behind a newline-delimited JSON-RPC protocol over TCP,\n"
      "served by a poll() event loop with a bounded worker pool\n"
      "(connections decoupled from threads, pipelining, typed\n"
      "overload errors)."},
-    {"gateway", Command::Gateway, "",
+    {"gateway", Command::Gateway,
      "Front N becd backends behind one becd-indistinguishable\n"
      "endpoint: requests route by consistent hashing of their\n"
      "program name, so each backend's session cache holds a\n"
      "stable shard of the program space. Health-checks, drains\n"
      "(gateway/drain) and fails over between backends; `stats\n"
      "--remote` through it aggregates every backend."},
-    {"client", Command::Client, "",
+    {"client", Command::Client,
      "Speak the becd method table directly:\n"
      "  bec client [--remote H:P] <method> [targets...] [options]\n"
      "Methods: version stats metrics shutdown counts intern\n"
@@ -187,11 +173,11 @@ const Subcommand Subcommands[] = {
      "trace/dump [trace-id], log/level [level].\n"
      "Against a gateway also: gateway/backends,\n"
      "gateway/drain H:P, gateway/undrain H:P."},
-    {"stats", Command::Stats, "",
+    {"stats", Command::Stats,
      "Print this process's observability metrics, or — with\n"
      "--remote H:P — a live becd server's counters, per-method\n"
      "latency percentiles, cache hit rates and gauges."},
-    {"version", Command::Version, "",
+    {"version", Command::Version,
      "Print the API version and build type (also: --version)."},
 };
 
@@ -212,11 +198,8 @@ const Subcommand *findSubcommand(std::string_view Name) {
 /// The subcommand whose pipeline a becd method runs; campaign/run is
 /// campaign's streaming form. Null for the other methods.
 const Subcommand *subcommandOfMethod(std::string_view Method) {
-  for (const Subcommand &S : Subcommands)
-    if (*S.Method && (Method == S.Method ||
-                      (S.Cmd == Command::Campaign && Method == "campaign/run")))
-      return &S;
-  return nullptr;
+  std::optional<serve::CommandKind> K = serve::commandOfMethod(Method);
+  return K ? &subcommand(Command(*K)) : nullptr;
 }
 
 /// Parses a string of decimal digits; nullopt on anything else. A sign,
@@ -284,15 +267,20 @@ struct Flag {
   bool optionalValue() const { return Metavar[0] == '['; }
 };
 
+// A flag's field is a member pointer, or a lambda selecting a field of
+// the request or the local inputs.
+
 /// Sets a switch, stores a string, or appends to a list of strings.
-template <class T> Store field(T DriverOptions::*Field) {
+template <class F> Store field(F Field) {
   return [Field](DriverOptions &O, const std::string &V) {
+    auto &X = std::invoke(Field, O);
+    using T = std::remove_reference_t<decltype(X)>;
     if constexpr (std::is_same_v<T, bool>)
-      O.*Field = true;
+      X = true;
     else if constexpr (std::is_same_v<T, std::string>)
-      O.*Field = V;
+      X = V;
     else
-      (O.*Field).push_back(V);
+      X.push_back(V);
     return std::string();
   };
 }
@@ -305,13 +293,12 @@ Store switchTo(Command C) {
 }
 
 /// An unsigned decimal in [Lo, Hi], bounded so that it fits the field.
-template <class T>
-Store number(T DriverOptions::*Field, uint64_t Lo = 0,
-             uint64_t Hi = UINT64_MAX) {
+template <class F>
+Store number(F Field, uint64_t Lo = 0, uint64_t Hi = UINT64_MAX) {
   return [=](DriverOptions &O, const std::string &V) -> std::string {
     std::optional<uint64_t> N = parseUnsigned(V);
     if (N && *N >= Lo && *N <= Hi) {
-      O.*Field = *N;
+      std::invoke(Field, O) = *N;
       return "";
     }
     if (Hi != UINT64_MAX)
@@ -321,14 +308,13 @@ Store number(T DriverOptions::*Field, uint64_t Lo = 0,
 }
 
 /// One of the named choices, case-insensitively.
-template <class T>
-Store choice(T DriverOptions::*Field,
-             std::vector<std::pair<const char *, T>> Choices) {
+template <class T, class F>
+Store choice(F Field, std::span<const std::pair<const char *, T>> Choices) {
   return [=](DriverOptions &O, const std::string &V) -> std::string {
     std::string Want;
     for (const auto &[Name, Value] : Choices) {
       if (toLowerAscii(V) == Name) {
-        O.*Field = Value;
+        std::invoke(Field, O) = Value;
         return "";
       }
       Want += Want.empty() ? Name : std::string(" | ") + Name;
@@ -362,34 +348,44 @@ std::string storeBudget(DriverOptions &O, const std::string &V) {
   std::optional<double> B = parseBudget(V);
   if (!B)
     return "a non-negative number";
-  O.Budgets = {*B};
+  O.Req.Harden.Budgets = {*B};
   return "";
 }
 
 std::string storeSweep(DriverOptions &O, const std::string &V) {
-  O.Budgets.clear();
+  std::vector<double> &Budgets = O.Req.Harden.Budgets;
+  Budgets.clear();
   for (const std::string &Item : commaList(V)) {
     std::optional<double> B = parseBudget(Item);
     if (!B)
       return "comma-separated budgets";
-    O.Budgets.push_back(*B);
+    Budgets.push_back(*B);
   }
-  return O.Budgets.empty() ? "comma-separated budgets" : "";
+  return Budgets.empty() ? "comma-separated budgets" : "";
+}
+
+std::string storeMaxCycles(DriverOptions &O, const std::string &V) {
+  std::optional<uint64_t> N = parseUnsigned(V);
+  if (!N)
+    return "a number";
+  // campaign and fuzz read the campaign's window, report its own.
+  O.Req.Campaign.MaxCycles = O.Req.Report.MaxCycles = *N;
+  return "";
 }
 
 std::string storePrefixCheckpoint(DriverOptions &O, const std::string &V) {
-  O.PrefixCheckpoint = true;
-  O.CheckpointEveryK = 0;
+  O.Local.PrefixCheckpoint = true;
+  O.Local.CheckpointEveryK = 0;
   if (V.empty())
     return ""; // Bare: on, with the auto-tuned period.
   if (toLowerAscii(V) == "off") {
-    O.PrefixCheckpoint = false;
+    O.Local.PrefixCheckpoint = false;
     return "";
   }
   std::optional<uint64_t> N = parseUnsigned(V);
   if (!N || *N == 0)
     return "'off' or a positive cycle period";
-  O.CheckpointEveryK = *N;
+  O.Local.CheckpointEveryK = *N;
   return "";
 }
 
@@ -431,30 +427,31 @@ const std::vector<Flag> &flags() {
        "(default 1; 0 = hardware concurrency).",
        false, nullptr, "Options:"},
       {"--plan", "KIND", of(C::Campaign), of(C::Campaign),
-       choice<PlanKind>(&D::Plan, {{"exhaustive", PlanKind::Exhaustive},
-                                   {"value", PlanKind::ValueLevel},
-                                   {"bit", PlanKind::BitLevel}}),
+       choice<PlanKind>([](D &O) -> auto & { return O.Req.Campaign.Plan; },
+                        serve::PlanNames),
        "campaign plan: exhaustive | value | bit (default bit)."},
       {"--sample", "N", of(C::Campaign), of(C::Campaign),
-       number(&D::SampleSize),
+       number([](D &O) -> auto & { return O.Req.Campaign.SampleSize; }),
        "campaign: execute a stratified sample of N runs of\n"
        "the planned fault space and report 95% confidence\n"
        "intervals on the effect rates (0 = run everything;\n"
        "default 0)."},
       {"--seed", "S", of(C::Campaign, C::Fuzz), of(C::Campaign),
-       number(&D::SampleSeed),
+       number([](D &O) -> auto & { return O.Req.Campaign.SampleSeed; }),
        "campaign: PRNG seed of --sample (default 1; same\n"
        "plan + same seed = same sample).\n"
        "fuzz: the corpus seed — same seed + same options =\n"
        "byte-identical corpus and report."},
       {"--threads", "N", of(C::Campaign, C::Fuzz), of(C::Campaign),
-       number(&D::CampaignThreads, 0, 1u << 16),
+       number([](D &O) -> auto & { return O.Req.Campaign.Exec.Threads; }, 0,
+              1u << 16),
        "campaign: worker threads of the sharded injection\n"
        "engine, per target (default 1; 0 = hardware\n"
        "concurrency). Never changes the report.\n"
        "fuzz: oracle workers, same guarantee."},
       {"--shard-size", "N", of(C::Campaign), of(C::Campaign),
-       number(&D::ShardSize, 1),
+       number([](D &O) -> auto & { return O.Req.Campaign.Exec.ShardSize; },
+              1),
        "campaign: runs per engine shard (default: picked\n"
        "from the plan size). Checkpoints record it."},
       {"--prefix-checkpoint", "[=K|=off]", of(C::Campaign), 0,
@@ -465,20 +462,21 @@ const std::vector<Flag> &flags() {
        "replays every suffix). Never changes the report.",
        true},
       {"--checkpoint", "FILE", of(C::Campaign, C::Fuzz), 0,
-       field(&D::CheckpointPath),
+       field([](D &O) -> auto & { return O.Local.CheckpointPath; }),
        "campaign: stream per-shard result batches to FILE\n"
        "(JSONL) so an interrupted campaign can be resumed.\n"
        "Requires exactly one selected target; local only.\n"
        "fuzz: per-program result records, same conventions.",
        true},
-      {"--resume", "", of(C::Campaign, C::Fuzz), 0, field(&D::Resume),
+      {"--resume", "", of(C::Campaign, C::Fuzz), 0,
+       field([](D &O) -> auto & { return O.Local.Resume; }),
        "campaign: load completed shards from --checkpoint\n"
        "and execute only the remainder. The final report is\n"
        "byte-identical to an uninterrupted run.\n"
        "fuzz: skip programs the checkpoint already settled.",
        true},
       {"--progress", "", of(C::Campaign, C::Fuzz), of(C::Campaign),
-       field(&D::Progress),
+       field([](D &O) -> auto & { return O.Req.Progress; }),
        "campaign: print shard progress to stderr while the\n"
        "engine runs (works with --remote via the streaming\n"
        "campaign/run method).\n"
@@ -493,10 +491,7 @@ const std::vector<Flag> &flags() {
        "seed_<seed>.s files and exit without running any\n"
        "oracle (regenerates tests/corpus/)."},
       {"--policy", "KIND", of(C::Schedule), 0,
-       choice<SchedulePolicy>(&D::EmitPolicy,
-                              {{"best", SchedulePolicy::BestReliability},
-                               {"worst", SchedulePolicy::WorstReliability},
-                               {"source", SchedulePolicy::SourceOrder}}),
+       choice<SchedulePolicy>(&D::EmitPolicy, serve::PolicyNames),
        "schedule policy for --emit: best | worst | source\n"
        "(default best)."},
       {"--emit", "FILE", of(C::Schedule, C::Harden), 0, field(&D::EmitPath),
@@ -514,13 +509,13 @@ const std::vector<Flag> &flags() {
        "harden only: evaluate several budgets per target and\n"
        "print the full cost-vs-vulnerability table."},
       {"--format", "KIND", Targeted | of(C::Fuzz), Targeted,
-       choice<OutputFormat>(&D::Format, {{"text", OutputFormat::Text},
-                                         {"json", OutputFormat::Json}}),
+       choice<bool>([](D &O) -> auto & { return O.Req.Json; },
+                    serve::FormatNames),
        "output format of analyze, campaign, schedule,\n"
        "harden, report and fuzz, and of their `bec client`\n"
        "methods: text | json (default text)."},
       {"--max-cycles", "N", of(C::Campaign, C::Report, C::Fuzz),
-       of(C::Campaign, C::Report), number(&D::MaxCycles),
+       of(C::Campaign, C::Report), storeMaxCycles,
        "Truncate campaign/validation windows to N cycles\n"
        "(0 = whole trace; default 0). fuzz: the oracle\n"
        "injection window (0 keeps the default of 48)."},
@@ -541,7 +536,8 @@ const std::vector<Flag> &flags() {
        "timeline shows client -> gateway -> backend\n"
        "(failover retries included). Valid with every\n"
        "subcommand; never changes the printed output."},
-      {"--profile", "FILE", of(C::Campaign), 0, field(&D::ProfilePath),
+      {"--profile", "FILE", of(C::Campaign), 0,
+       field([](D &O) -> auto & { return O.Local.ProfilePath; }),
        "campaign: write the engine scaling profile to FILE\n"
        "as JSON — per-worker wall-time split into run /\n"
        "snapshot-rebuild / steal / idle phases, per-shard\n"
@@ -650,7 +646,7 @@ std::string readersOf(const Flag &F) {
     if (F.Commands & of(S.Cmd))
       Commands += (Commands.empty() ? "" : ", ") + std::string(S.Name);
     if (F.ClientReaders & of(S.Cmd))
-      Methods += (Methods.empty() ? "" : ", ") + std::string(S.Method);
+      Methods += (Methods.empty() ? "" : ", ") + std::string(S.Name);
   }
   return Methods.empty() ? Commands
                          : Commands + " (or client " + Methods + ")";
@@ -751,18 +747,28 @@ int parseArgs(const std::vector<std::string> &Args, DriverOptions &Opts,
   }
 
   // The rules that span flags.
-  if (Opts.Resume && Opts.CheckpointPath.empty()) {
+  if (Opts.Local.Resume && Opts.Local.CheckpointPath.empty()) {
     Err << "bec: --resume requires --checkpoint FILE\n";
     return ExitUsage;
   }
   if (Opts.Cmd == Command::Harden && !Opts.EmitPath.empty() &&
-      Opts.Budgets.size() != 1) {
+      Opts.Req.Harden.Budgets.size() != 1) {
     Err << "bec: harden --emit requires a single --budget\n";
     return ExitUsage;
   }
   if (Opts.Cmd == Command::Gateway && Opts.GatewayBackends.empty()) {
     Err << "bec: gateway requires --backends H:P[,H:P...]\n";
     return ExitUsage;
+  }
+
+  // The request of the subcommand, or of the method a client calls.
+  Command Runs = Method ? Method->Cmd : Opts.Cmd;
+  if (Targeted & of(Runs)) {
+    Opts.Req.Cmd = serve::CommandKind(Runs);
+    Opts.Req.Jobs = Opts.Jobs.value_or(1);
+    if (!Opts.EmitPath.empty() && Runs == Command::Schedule)
+      Opts.Req.EmitSchedule = Opts.EmitPolicy;
+    Opts.Req.EmitHardened = !Opts.EmitPath.empty() && Runs == Command::Harden;
   }
   return ExitSuccess;
 }
@@ -806,8 +812,8 @@ int selectTargets(const DriverOptions &Opts, std::vector<std::string> &Targets,
 int requireOneTarget(const DriverOptions &Opts, size_t NumTargets,
                      std::ostream &Err) {
   for (const auto &[Path, Flag] : {std::pair{&Opts.EmitPath, "--emit"},
-                                   {&Opts.CheckpointPath, "--checkpoint"},
-                                   {&Opts.ProfilePath, "--profile"}})
+                                   {&Opts.Local.CheckpointPath, "--checkpoint"},
+                                   {&Opts.Local.ProfilePath, "--profile"}})
     if (!Path->empty() && NumTargets != 1) {
       Err << "bec: " << Flag << " requires exactly one selected target\n";
       return ExitUsage;
@@ -819,61 +825,72 @@ int requireOneTarget(const DriverOptions &Opts, size_t NumTargets,
 // Shared epilogue
 //===----------------------------------------------------------------------===//
 
-template <class R> using ResultVec = std::vector<std::shared_ptr<const R>>;
-
-/// Reports per-target errors; ExitBadInput if any target failed.
-template <class R>
-int reportErrors(const AnalysisSession &S, const ResultVec<R> &Results,
-                 std::ostream &Err) {
-  int Status = ExitSuccess;
-  for (size_t I = 0; I < Results.size(); ++I)
-    if (!Results[I]->Error.empty()) {
-      Err << "bec: " << S.name(I) << ": " << Results[I]->Error << "\n";
-      Status = ExitBadInput;
-    }
-  return Status;
-}
-
 /// One --progress line, shared verbatim by the local engine callback and
 /// the remote campaign/run progress-frame printer. The base counts are
 /// followed by live engine telemetry (throughput from the monotonic
 /// clock, ETA, and the steal/rebuild counts that explain flat thread
 /// scaling); the telemetry block is omitted when the frame carries none
 /// (an older remote server).
-std::string progressLine(const std::string &Target, uint64_t ShardsDone,
-                         uint64_t Shards, uint64_t RunsDone, uint64_t Runs,
-                         uint64_t ExecutedRuns, double ElapsedSeconds,
-                         uint64_t Steals, uint64_t Rebuilds) {
+std::string progressLine(const std::string &Target,
+                         const CampaignProgress &P) {
   std::string Line = "bec: campaign: " + Target + ": " +
-                     std::to_string(ShardsDone) + "/" +
-                     std::to_string(Shards) + " shards, " +
-                     std::to_string(RunsDone) + "/" + std::to_string(Runs) +
-                     " runs";
-  if (ElapsedSeconds > 0 && ExecutedRuns) {
-    double Rate = double(ExecutedRuns) / ElapsedSeconds;
+                     std::to_string(P.ShardsDone) + "/" +
+                     std::to_string(P.TotalShards) + " shards, " +
+                     std::to_string(P.RunsDone) + "/" +
+                     std::to_string(P.TotalRuns) + " runs";
+  if (P.ElapsedSeconds > 0 && P.ExecutedRuns) {
+    double Rate = double(P.ExecutedRuns) / P.ElapsedSeconds;
     char Buf[96];
     std::snprintf(Buf, sizeof(Buf), " | %.0f runs/s, %.1fs elapsed", Rate,
-                  ElapsedSeconds);
+                  P.ElapsedSeconds);
     Line += Buf;
-    if (Runs > RunsDone && Rate > 0) {
+    if (P.TotalRuns > P.RunsDone && Rate > 0) {
       std::snprintf(Buf, sizeof(Buf), ", eta %.1fs",
-                    double(Runs - RunsDone) / Rate);
+                    double(P.TotalRuns - P.RunsDone) / Rate);
       Line += Buf;
     }
-    Line += ", " + std::to_string(Steals) + " steals, " +
-            std::to_string(Rebuilds) + " rebuilds";
+    Line += ", " + std::to_string(P.Steals) + " steals, " +
+            std::to_string(P.SnapshotRebuilds) + " rebuilds";
   }
   return Line + "\n";
 }
 
-int emitAssembly(const std::string &Asm, const DriverOptions &Opts,
-                 std::ostream &Err) {
-  std::ofstream OutFile(Opts.EmitPath);
-  if (!OutFile) {
-    Err << "bec: cannot write '" << Opts.EmitPath << "'\n";
-    return ExitBadInput;
+/// The epilogue of every subcommand run, local or remote: print output
+/// and diagnostics; on success write --emit's program, or a local
+/// campaign's resume line and --profile document.
+int finishCommand(const serve::CommandOutcome &C, const DriverOptions &Opts,
+                  std::ostream &Out, std::ostream &Err) {
+  Out << C.Output;
+  Err << C.Diag;
+  if (C.Exit != ExitSuccess)
+    return C.Exit;
+  if (!Opts.EmitPath.empty()) {
+    if (C.Emit.empty()) {
+      Err << "bec: server returned no emitted assembly\n";
+      return ExitBadInput;
+    }
+    std::ofstream OutFile(Opts.EmitPath);
+    if (!(OutFile << C.Emit)) {
+      Err << "bec: cannot write '" << Opts.EmitPath << "'\n";
+      return ExitBadInput;
+    }
+    return ExitSuccess;
   }
-  OutFile << Asm;
+  if (!C.Campaign)
+    return ExitSuccess;
+  if (Opts.Local.Resume)
+    Err << "bec: campaign: resumed " << C.Campaign->Campaign.ResumedShards
+        << " of " << C.Campaign->Campaign.Shards << " shards from '"
+        << Opts.Local.CheckpointPath << "'\n";
+  if (const std::string &Path = Opts.Local.ProfilePath; !Path.empty()) {
+    std::ofstream PF(Path, std::ios::binary);
+    if (PF)
+      PF << renderCampaignProfileJson(C.Campaign->Campaign.Profile);
+    if (!PF) {
+      Err << "bec: cannot write profile file '" << Path << "'\n";
+      return ExitBadInput;
+    }
+  }
   return ExitSuccess;
 }
 
@@ -976,15 +993,16 @@ std::string renderFuzzJson(const fuzz::FuzzResult &R, uint64_t Seed) {
 int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
                    std::ostream &Err) {
   fuzz::FuzzOptions FO;
-  FO.Seed = Opts.SampleSeed;
+  const CampaignCmdQuery::Options &C = Opts.Req.Campaign;
+  FO.Seed = C.SampleSeed;
   FO.Count = Opts.FuzzCount;
   FO.Budget = Opts.FuzzBudget;
-  FO.Threads = ThreadPool::clampJobs(Opts.CampaignThreads.value_or(1));
-  FO.CheckpointPath = Opts.CheckpointPath;
-  FO.Resume = Opts.Resume;
+  FO.Threads = ThreadPool::clampJobs(C.Exec.Threads);
+  FO.CheckpointPath = Opts.Local.CheckpointPath;
+  FO.Resume = Opts.Local.Resume;
   FO.BankDir = Opts.BankDir;
-  if (Opts.MaxCycles)
-    FO.Oracle.MaxCycles = Opts.MaxCycles;
+  if (C.MaxCycles)
+    FO.Oracle.MaxCycles = C.MaxCycles;
 
   if (!Opts.EmitCorpusDir.empty()) {
     std::string Error = fuzz::emitCorpus(FO, Opts.EmitCorpusDir);
@@ -996,7 +1014,7 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
     return ExitSuccess;
   }
 
-  if (Opts.Progress)
+  if (Opts.Req.Progress)
     FO.OnProgress = [&Err](const fuzz::FuzzProgress &P) {
       // Called under the fuzzer's aggregation lock; no extra mutex.
       Err << "bec: fuzz: " << P.Done << "/" << P.Total << " programs, "
@@ -1008,75 +1026,17 @@ int runFuzzCommand(const DriverOptions &Opts, std::ostream &Out,
     Err << "bec: fuzz: " << R.Error << "\n";
     return ExitBadInput;
   }
-  Out << (Opts.Format == OutputFormat::Json ? renderFuzzJson(R, FO.Seed)
-                                            : renderFuzzText(R, FO.Seed));
-  if (Opts.Resume)
+  Out << (Opts.Req.Json ? renderFuzzJson(R, FO.Seed)
+                        : renderFuzzText(R, FO.Seed));
+  if (FO.Resume)
     Err << "bec: fuzz: resumed " << R.Resumed << " of " << R.Programs
-        << " programs from '" << Opts.CheckpointPath << "'\n";
+        << " programs from '" << FO.CheckpointPath << "'\n";
   return R.Mismatches.empty() ? ExitSuccess : ExitUnsound;
 }
 
 //===----------------------------------------------------------------------===//
 // becd: serve, client, --remote
 //===----------------------------------------------------------------------===//
-
-/// Serializes the params of one subcommand method from the parsed command
-/// line, for \p Targets (empty = the server's default, all workloads).
-std::string subcommandParams(Command Which, const DriverOptions &Opts,
-                             const std::vector<std::string> &Targets,
-                             bool WithEmit) {
-  JsonWriter W;
-  W.beginObject();
-  if (!Targets.empty()) {
-    W.key("targets").beginArray();
-    for (const std::string &T : Targets)
-      W.value(T);
-    W.endArray();
-  }
-  W.key("format").value(Opts.Format == OutputFormat::Json ? "json" : "text");
-  if (Opts.Jobs.value_or(1) != 1)
-    W.key("jobs").value(uint64_t(*Opts.Jobs));
-  switch (Which) {
-  case Command::Campaign:
-    W.key("plan").value(Opts.Plan == PlanKind::Exhaustive    ? "exhaustive"
-                        : Opts.Plan == PlanKind::ValueLevel  ? "value"
-                                                             : "bit");
-    W.key("max_cycles").value(Opts.MaxCycles);
-    if (Opts.SampleSize) {
-      W.key("sample").value(Opts.SampleSize);
-      W.key("seed").value(Opts.SampleSeed);
-    }
-    if (Opts.CampaignThreads)
-      W.key("threads").value(uint64_t(*Opts.CampaignThreads));
-    if (Opts.ShardSize)
-      W.key("shard_size").value(Opts.ShardSize);
-    if (Opts.Progress)
-      W.key("progress").value(true);
-    break;
-  case Command::Schedule:
-    if (WithEmit)
-      W.key("emit").value(
-          Opts.EmitPolicy == SchedulePolicy::SourceOrder        ? "source"
-          : Opts.EmitPolicy == SchedulePolicy::BestReliability  ? "best"
-                                                                : "worst");
-    break;
-  case Command::Harden:
-    W.key("budgets").beginArray();
-    for (double B : Opts.Budgets)
-      W.value(B);
-    W.endArray();
-    if (WithEmit)
-      W.key("emit").value(true);
-    break;
-  case Command::Report:
-    W.key("max_cycles").value(Opts.MaxCycles);
-    break;
-  default:
-    break;
-  }
-  W.endObject();
-  return W.take();
-}
 
 /// Prints a server error reply as CLI diagnostics (expanding structured
 /// assembler diagnostics the way the local path prints them).
@@ -1124,47 +1084,11 @@ std::optional<std::string> internParamsForFile(const std::string &Path,
   return P.take();
 }
 
-/// Executes one already-parsed subcommand method reply: print output and
-/// diagnostics, honor --emit, adopt the server's exit code.
-int consumeSubcommandReply(const serve::Reply &R, const DriverOptions &Opts,
-                           bool WithEmit, std::ostream &Out,
-                           std::ostream &Err) {
-  const std::string *Output = R.Result.memberString("output");
-  std::optional<uint64_t> Exit = R.Result.memberU64("exit");
-  if (!Output || !Exit || *Exit > ExitUnsound) {
-    Err << "bec: malformed result from server\n";
-    return ExitBadInput;
-  }
-  Out << *Output;
-  if (const std::string *Diag = R.Result.memberString("diag"))
-    Err << *Diag;
-  int Status = static_cast<int>(*Exit);
-  if (Status == ExitSuccess && WithEmit) {
-    const std::string *Emit = R.Result.memberString("emit");
-    if (!Emit) {
-      Err << "bec: server returned no emitted assembly\n";
-      return ExitBadInput;
-    }
-    Status = emitAssembly(*Emit, Opts, Err);
-  }
-  return Status;
-}
-
 /// Prints one campaign/run progress frame exactly as the local engine's
 /// --progress callback would have.
 void printProgress(const JsonValue &P, std::ostream &Err) {
   const std::string *Target = P.memberString("target");
-  double Elapsed = 0;
-  if (const JsonValue *E = P.member("elapsed_s"))
-    Elapsed = E->asDouble().value_or(0);
-  Err << progressLine(Target ? *Target : std::string("?"),
-                      P.memberU64("shards_done").value_or(0),
-                      P.memberU64("shards").value_or(0),
-                      P.memberU64("runs_done").value_or(0),
-                      P.memberU64("runs").value_or(0),
-                      P.memberU64("executed_runs").value_or(0), Elapsed,
-                      P.memberU64("steals").value_or(0),
-                      P.memberU64("snapshot_rebuilds").value_or(0));
+  Err << progressLine(Target ? *Target : "?", serve::progressOf(P));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1317,13 +1241,46 @@ std::optional<serve::Client> connectRemote(const DriverOptions &Opts,
   return C;
 }
 
+/// Calls \p Method on the --remote server and prints its result: a
+/// subcommand's through the local epilogue, any other method's as JSON,
+/// campaign/run's progress frames as --progress lines, and errors as CLI
+/// diagnostics (\p AsmPath names an interned file). Under an armed trace
+/// the servers' spans are collected whether or not the call succeeded
+/// (a failed hop's spans are what the trace is for), by a dump request
+/// that is not itself part of the trace.
+int callRemote(serve::Client &C, const std::string &Method,
+               const std::string &Params, const std::string &AsmPath,
+               const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
+               std::ostream &Err) {
+  serve::Reply R =
+      Method == "campaign/run"
+          ? C.callStreaming(Method, Params,
+                            [&](const JsonValue &P) { printProgress(P, Err); })
+          : C.call(Method, Params);
+  if (DT && DT->armed() && Method != "shutdown") {
+    C.setTrace({});
+    collectRemoteSpans(C, DT->TraceId, DT->Spans);
+  }
+  if (!R.Ok) {
+    reportReplyError(R, AsmPath, Err);
+    return ExitBadInput;
+  }
+  if (!serve::commandOfMethod(Method)) {
+    Out << R.Result.toJson() << "\n";
+    return ExitSuccess;
+  }
+  std::optional<serve::CommandOutcome> Result = serve::outcomeOf(R.Result);
+  if (!Result) {
+    Err << "bec: malformed result from server\n";
+    return ExitBadInput;
+  }
+  return finishCommand(*Result, Opts, Out, Err);
+}
+
 /// `bec <subcommand> --remote host:port`: transparent offload.
 int runRemote(const DriverOptions &Opts,
               const std::vector<std::string> &Targets, DistTrace *DT,
               std::ostream &Out, std::ostream &Err) {
-  if (int Status = requireOneTarget(Opts, Targets.size(), Err))
-    return Status;
-  bool WithEmit = !Opts.EmitPath.empty();
   // Under --trace-out every frame of this exchange (interns included)
   // carries the distributed trace context, parented at the root span.
   std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
@@ -1341,29 +1298,16 @@ int runRemote(const DriverOptions &Opts,
     }
   }
 
-  std::string Params = subcommandParams(Opts.Cmd, Opts, Targets, WithEmit);
-  serve::Reply R;
-  if (Opts.Cmd == Command::Campaign) {
-    // Campaigns offload through the streaming method so a long remote
-    // run narrates itself; without --progress no frames are sent and
-    // the exchange is byte-for-byte the unary `campaign` method's.
-    R = C->callStreaming("campaign/run", Params,
-                         [&](const JsonValue &P) { printProgress(P, Err); });
-  } else {
-    R = C->call(subcommand(Opts.Cmd).Method, Params);
-  }
-  // Collect the servers' spans whether or not the command succeeded —
-  // a failed hop's spans are exactly what the trace is for. The dump
-  // request itself must not land in the ring as part of this trace.
-  if (DT && DT->armed()) {
-    C->setTrace({});
-    collectRemoteSpans(*C, DT->TraceId, DT->Spans);
-  }
-  if (!R.Ok) {
-    Err << "bec: " << R.errorText() << "\n";
-    return ExitBadInput;
-  }
-  return consumeSubcommandReply(R, Opts, WithEmit, Out, Err);
+  serve::CommandRequest Req = Opts.Req;
+  Req.Targets = Targets;
+  // Campaigns offload through the streaming method so a long remote run
+  // narrates itself; without --progress no frames are sent and the
+  // exchange is byte-for-byte the unary `campaign` method's.
+  return callRemote(*C,
+                    Opts.Cmd == Command::Campaign
+                        ? "campaign/run"
+                        : subcommand(Opts.Cmd).Name,
+                    serve::encode(Req), "", Opts, DT, Out, Err);
 }
 
 /// Binds \p Srv, announces "<Who> listening on host:port (api, protocol)"
@@ -1717,10 +1661,11 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
 
   // Build params before connecting so usage errors stay local.
   std::string Params;
-  const Subcommand *Sub = subcommandOfMethod(Method);
   std::string AsmPath;
-  if (Sub) {
-    Params = subcommandParams(Sub->Cmd, Opts, Positional, /*WithEmit=*/false);
+  if (subcommandOfMethod(Method)) {
+    serve::CommandRequest Req = Opts.Req;
+    Req.Targets = Positional;
+    Params = serve::encode(Req);
   } else if (const ClientMethod *M = std::find_if(
                  std::begin(ClientMethods), std::end(ClientMethods),
                  [&](const ClientMethod &M) { return Method == M.Name; });
@@ -1757,23 +1702,7 @@ int runClient(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   std::optional<serve::Client> C = connectRemote(Opts, DT, Err);
   if (!C)
     return ExitBadInput;
-  serve::Reply R =
-      Method == "campaign/run"
-          ? C->callStreaming(Method, Params,
-                             [&](const JsonValue &P) { printProgress(P, Err); })
-          : C->call(Method, Params);
-  if (DT && DT->armed() && Method != "shutdown") {
-    C->setTrace({});
-    collectRemoteSpans(*C, DT->TraceId, DT->Spans);
-  }
-  if (!R.Ok) {
-    reportReplyError(R, AsmPath, Err);
-    return ExitBadInput;
-  }
-  if (Sub)
-    return consumeSubcommandReply(R, Opts, /*WithEmit=*/false, Out, Err);
-  Out << R.Result.toJson() << "\n";
-  return ExitSuccess;
+  return callRemote(*C, Method, Params, AsmPath, Opts, DT, Out, Err);
 }
 
 /// Everything after argument parsing: subcommand dispatch. Split out so
@@ -1796,6 +1725,8 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
   size_t NumWorkloads = 0;
   if (int Status = selectTargets(Opts, Targets, NumWorkloads, Err))
     return Status;
+  if (int Status = requireOneTarget(Opts, Targets.size(), Err))
+    return Status;
   if (Opts.Remote)
     return runRemote(Opts, Targets, DT, Out, Err);
 
@@ -1809,128 +1740,15 @@ int runParsed(const DriverOptions &Opts, DistTrace *DT, std::ostream &Out,
       return ExitBadInput;
     }
   }
-  if (int Status = requireOneTarget(Opts, S.numTargets(), Err))
-    return Status;
-
-  bool Json = Opts.Format == OutputFormat::Json;
-  ThreadPool Pool(ThreadPool::clampJobs(Opts.Jobs.value_or(1)));
-  int Status = ExitSuccess;
-
-  switch (Opts.Cmd) {
-  case Command::Analyze: {
-    auto Results = S.evaluateAll<AnalyzeQuery>({}, Pool);
-    Out << (Json ? renderAnalyzeJson(Targets, Results)
-                 : renderAnalyzeText(Targets, Results));
-    Status = reportErrors(S, Results, Err);
-    break;
-  }
-  case Command::Campaign: {
-    CampaignCmdQuery::Options Base;
-    Base.Plan = Opts.Plan;
-    Base.MaxCycles = Opts.MaxCycles;
-    Base.SampleSize = Opts.SampleSize;
-    Base.SampleSeed = Opts.SampleSeed;
-    Base.PrefixCheckpoint = Opts.PrefixCheckpoint;
-    Base.CheckpointEveryK = Opts.CheckpointEveryK;
-    Base.Exec.Threads =
-        ThreadPool::clampJobs(Opts.CampaignThreads.value_or(1));
-    Base.Exec.ShardSize = Opts.ShardSize;
-    Base.Exec.CheckpointPath = Opts.CheckpointPath;
-    Base.Exec.Resume = Opts.Resume;
-    Base.Exec.CollectProfile = !Opts.ProfilePath.empty();
-    // Per-target options (identical fingerprints, so the cache shape
-    // matches evaluateAll): only the progress callback differs, needing
-    // the target's name.
-    std::vector<std::shared_ptr<const CampaignCmdResult>> Results(
-        S.numTargets());
-    std::mutex ProgressMutex;
-    for (size_t I = 0; I < S.numTargets(); ++I)
-      Pool.submit([&, I] {
-        CampaignCmdQuery::Options O = Base;
-        if (Opts.Progress) {
-          std::string Target = S.name(I);
-          O.Exec.OnProgress = throttledProgress(
-              [&Err, &ProgressMutex, Target](const CampaignProgress &P) {
-                std::lock_guard<std::mutex> Lock(ProgressMutex);
-                Err << progressLine(Target, P.ShardsDone, P.TotalShards,
-                                    P.RunsDone, P.TotalRuns, P.ExecutedRuns,
-                                    P.ElapsedSeconds, P.Steals,
-                                    P.SnapshotRebuilds);
-              });
-        }
-        Results[I] =
-            S.get<CampaignCmdQuery>(static_cast<AnalysisSession::TargetId>(I),
-                                    O);
+  std::vector<CachedProgramPtr> Progs;
+  for (size_t I = 0; I < S.numTargets(); ++I)
+    Progs.push_back(S.cached(static_cast<AnalysisSession::TargetId>(I)));
+  serve::CommandOutcome C = serve::runCommand(
+      S, Targets, Progs, Opts.Req, Opts.Local,
+      [&Err](const std::string &Target, const CampaignProgress &P) {
+        Err << progressLine(Target, P);
       });
-    Pool.wait();
-    Out << (Json ? renderCampaignJson(Targets, Results, Opts.Plan)
-                 : renderCampaignText(Targets, Results, Opts.Plan));
-    Status = reportErrors(S, Results, Err);
-    if (Status == ExitSuccess && Opts.Resume)
-      Err << "bec: campaign: resumed " << Results[0]->Campaign.ResumedShards
-          << " of " << Results[0]->Campaign.Shards << " shards from '"
-          << Opts.CheckpointPath << "'\n";
-    if (Status == ExitSuccess && !Opts.ProfilePath.empty()) {
-      std::ofstream PF(Opts.ProfilePath, std::ios::binary);
-      if (PF)
-        PF << renderCampaignProfileJson(Results[0]->Campaign.Profile);
-      if (!PF) {
-        Err << "bec: cannot write profile file '" << Opts.ProfilePath
-            << "'\n";
-        Status = ExitBadInput;
-      }
-    }
-    break;
-  }
-  case Command::Schedule: {
-    auto Results = S.evaluateAll<ScheduleCmdQuery>({}, Pool);
-    Out << (Json ? renderScheduleJson(Targets, Results)
-                 : renderScheduleText(Targets, Results));
-    Status = reportErrors(S, Results, Err);
-    if (Status == ExitSuccess && !Opts.EmitPath.empty()) {
-      size_t Policy = Opts.EmitPolicy == SchedulePolicy::SourceOrder ? 0
-                      : Opts.EmitPolicy == SchedulePolicy::BestReliability
-                          ? 1
-                          : 2;
-      Status = emitAssembly(Results[0]->PolicyAsm[Policy], Opts, Err);
-    }
-    break;
-  }
-  case Command::Harden: {
-    HardenCmdQuery::Options HO;
-    HO.Budgets = Opts.Budgets;
-    auto Results = S.evaluateAll<HardenCmdQuery>(HO, Pool);
-    Out << (Json ? renderHardenJson(Targets, Results, Opts.Budgets)
-                 : renderHardenText(Targets, Results, Opts.Budgets));
-    Status = reportErrors(S, Results, Err);
-    if (Status == ExitSuccess)
-      for (size_t I = 0; I < Results.size(); ++I)
-        for (const HardenPoint &P : Results[I]->Points)
-          if (!P.Check.ok()) {
-            Err << "bec: " << S.name(I)
-                << ": hardened program failed validation\n";
-            Status = ExitUnsound;
-          }
-    if (Status == ExitSuccess && !Opts.EmitPath.empty())
-      Status = emitAssembly(Results[0]->Points[0].Harden.HP.Prog.toString(),
-                            Opts, Err);
-    break;
-  }
-  case Command::Report: {
-    auto Results = S.evaluateAll<ReportCmdQuery>({Opts.MaxCycles}, Pool);
-    Out << (Json ? renderReportJson(Targets, Results)
-                 : renderReportText(Targets, Results));
-    Status = reportErrors(S, Results, Err);
-    if (Status == ExitSuccess)
-      for (const auto &R : Results)
-        if (!R->Validation.sound())
-          Status = ExitUnsound;
-    break;
-  }
-  default:
-    break; // Dispatched before target loading.
-  }
-  return Status;
+  return finishCommand(C, Opts, Out, Err);
 }
 
 } // namespace

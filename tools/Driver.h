@@ -2,27 +2,17 @@
 ///
 /// \file
 /// Library entry point of the `bec` command-line tool, factored out of the
-/// binary so tests can invoke every subcommand in-process. The driver is a
-/// thin shell over the api/Api.h AnalysisSession: argument parsing here,
-/// pipelines and caching behind the session's subcommand queries,
-/// rendering as tables or via the shared api/Serialize.h JSON emitter:
-///
-///   bec analyze  [targets] [--jobs N]      fault-space metrics table
-///   bec campaign [targets] [--plan KIND]   execute a fault-injection plan
-///   bec schedule [targets] [--emit FILE]   vulnerability-aware scheduling
-///   bec harden   [targets] [--budget P]    selective hardening Pareto
-///                [--sweep A,B,..]          points + closed-loop checks
-///   bec report   [targets]                 metrics + campaign + validation
-///
-/// Targets are `--workload NAME` (repeatable, case-insensitive), `--asm
-/// FILE.s`, or `--all` (the default). Independent targets are evaluated
-/// through Session::evaluateAll on a pool sized by `--jobs`. Every
-/// subcommand supports `--format=json` for machine-readable output.
+/// binary so tests can invoke every subcommand in-process. The five
+/// analysis subcommands parse into a serve::CommandRequest and run through
+/// serve/Commands.h's runCommand, the one path they take in-process and,
+/// with --remote, on a becd server; `bec --help` lists the rest.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BEC_TOOLS_DRIVER_H
 #define BEC_TOOLS_DRIVER_H
+
+#include "serve/Commands.h"
 
 #include <iosfwd>
 #include <string>
@@ -31,12 +21,13 @@
 namespace bec {
 namespace tool {
 
-/// Exit codes of the driver (stable interface; asserted by DriverTest).
+/// Exit codes of the driver (stable interface; asserted by DriverTest):
+/// a subcommand's own, plus the usage error.
 enum ExitCode : int {
-  ExitSuccess = 0,  ///< Everything ran and validated.
-  ExitUsage = 1,    ///< Bad command line; usage was printed to Err.
-  ExitBadInput = 2, ///< A target failed to assemble / load / run.
-  ExitUnsound = 3,  ///< `report` found a validation violation.
+  ExitSuccess = serve::ExitSuccess,
+  ExitUsage = 1, ///< Bad command line; usage was printed to Err.
+  ExitBadInput = serve::ExitBadInput,
+  ExitUnsound = serve::ExitUnsound,
 };
 
 /// Runs the `bec` CLI on \p Args (argv without the program name), writing
