@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "fi/Campaign.h"
+#include "fi/Engine.h"
 #include "sim/Interpreter.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
@@ -38,9 +38,14 @@ int main() {
     Program Prog = loadWorkload(*W);
     BECAnalysis A = BECAnalysis::run(Prog);
     Trace Golden = simulate(Prog);
-    std::vector<PlannedRun> Plan =
-        planCampaign(A, Golden, PlanKind::Exhaustive, WindowCycles);
-    CampaignResult R = runCampaign(Prog, Golden, std::move(Plan));
+    // The time column measures full replay of every run's suffix, the
+    // paper's baseline: no prefix checkpoints, no splicing.
+    CampaignResult R = runCampaign(
+        Prog, Golden,
+        CampaignPlan::build(A, Golden,
+                            {.Kind = PlanKind::Exhaustive,
+                             .MaxCycles = WindowCycles,
+                             .PrefixCheckpoint = false}));
 
     // The cost of one run is the trace suffix after its injection cycle;
     // extrapolate the measured per-instruction cost to the full campaign

@@ -16,13 +16,13 @@
 ///                    bits").
 ///
 /// This header holds the shared vocabulary (PlannedRun, FaultEffect,
-/// CampaignResult) plus the classic serial entry points. The scalable
-/// engine is layered on top:
+/// CampaignResult). The engine is layered on top:
 ///
-///   * fi/CampaignPlan.h — one-shot fault-space enumeration, stratified
-///     sampling with Wilson confidence intervals, plan fingerprints;
-///   * fi/Checkpoint.h   — JSONL per-shard result batches so campaigns
-///     survive interruption;
+///   * fi/CampaignPlan.h — the run list: one-shot fault-space
+///     enumeration or an explicit list, stratified sampling with Wilson
+///     confidence intervals, plan fingerprints;
+///   * fi/Checkpoint.h   — the JSONL checkpoint layer, so campaigns (and
+///     fuzz corpora) survive interruption;
 ///   * fi/Engine.h       — the sharded, work-stealing, resumable
 ///     executor (runCampaign over a CampaignPlan).
 ///
@@ -58,13 +58,6 @@ struct PlannedRun {
 };
 
 enum class PlanKind { Exhaustive, ValueLevel, BitLevel };
-
-/// Builds the run list of \p Kind for \p Golden (the fault-free trace of
-/// the analyzed program). \p MaxCycles limits plans to a window of the
-/// trace (0 = no limit). CampaignPlan::build is the richer front end
-/// (sampling, fingerprints); this is the raw enumeration.
-std::vector<PlannedRun> planCampaign(const BECAnalysis &A, const Trace &Golden,
-                                     PlanKind Kind, uint64_t MaxCycles = 0);
 
 /// Outcome classification of one fault-injection run vs. the golden run.
 enum class FaultEffect : uint8_t {
@@ -158,8 +151,8 @@ struct CampaignResult {
   /// Per-run effects, parallel to the plan.
   std::vector<FaultEffect> Effects;
 
-  /// Shard accounting of the engine run (both zero for the classic
-  /// serial entry point when the plan is empty).
+  /// Shard accounting of the engine run (both zero when the plan is
+  /// empty).
   uint64_t Shards = 0;
   uint64_t ResumedShards = 0; ///< Shards replayed from a checkpoint.
   /// Scheduler telemetry: shards taken from another worker's deque, and
@@ -202,12 +195,6 @@ struct CampaignResult {
   /// scheduler telemetry above, never rendered into reports.
   CampaignPhaseProfile Profile;
 };
-
-/// Executes \p Plan (sorted or unsorted) serially and classifies every
-/// run. Equivalent to the engine at one thread with no checkpointing;
-/// kept as the simple entry point for tests and small plans.
-CampaignResult runCampaign(const Program &Prog, const Trace &Golden,
-                           std::vector<PlannedRun> Plan);
 
 } // namespace bec
 

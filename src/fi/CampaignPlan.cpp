@@ -7,11 +7,71 @@
 #include "support/Xoshiro.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace bec;
 
 namespace {
+
+/// The run list of \p Kind over \p Golden (the fault-free trace of the
+/// analyzed program), limited to its first \p MaxCycles cycles (0 = no
+/// limit).
+std::vector<PlannedRun> enumerate(const BECAnalysis &A, const Trace &Golden,
+                                  PlanKind Kind, uint64_t MaxCycles) {
+  const Program &Prog = A.program();
+  const FaultSpace &FS = A.space();
+  unsigned W = Prog.Width;
+  uint64_t Limit = MaxCycles ? std::min<uint64_t>(MaxCycles, Golden.Cycles)
+                             : Golden.Cycles;
+  std::vector<PlannedRun> Plan;
+
+  if (Kind == PlanKind::Exhaustive) {
+    // Every bit of the register file before every executed instruction.
+    for (uint64_t C = 0; C < Limit; ++C)
+      for (Reg R = 0; R < NumRegs; ++R)
+        for (unsigned B = 0; B < W; ++B)
+          Plan.push_back({C, R, static_cast<uint8_t>(B), 0, -1});
+    return Plan;
+  }
+
+  // Segment-based plans: walk the golden trace; a segment of register V
+  // opens after the cycle that accesses V.
+  int64_t SegmentId = 0;
+  std::vector<uint32_t> Reps; // Classes already planned in this segment.
+  for (uint64_t C = 0; C < Limit; ++C) {
+    uint32_t P = Golden.Executed[C];
+    const Instruction &I = Prog.instr(P);
+    if (isHalt(I.Op))
+      break;
+    auto [ApBegin, ApEnd] = FS.pointsOfInstr(P);
+    for (uint32_t Ap = ApBegin; Ap < ApEnd; ++Ap) {
+      const auto &Summary = A.summary(Ap);
+      Reg V = FS.point(Ap).R;
+      ++SegmentId;
+      if (!Summary.LiveAfter)
+        continue;
+      if (Kind == PlanKind::ValueLevel) {
+        for (unsigned B = 0; B < W; ++B)
+          Plan.push_back({C + 1, V, static_cast<uint8_t>(B),
+                          A.classOf(FS.faultIndex(Ap, B)), SegmentId});
+        continue;
+      }
+      // BitLevel: the lowest bit of each non-masked class.
+      Reps.clear();
+      for (unsigned B = 0; B < W; ++B) {
+        if ((Summary.MaskedMask >> B) & 1)
+          continue;
+        uint32_t Rep = A.classOf(FS.faultIndex(Ap, B));
+        if (std::find(Reps.begin(), Reps.end(), Rep) != Reps.end())
+          continue;
+        Reps.push_back(Rep);
+        Plan.push_back({C + 1, V, static_cast<uint8_t>(B), Rep, SegmentId});
+      }
+    }
+  }
+  return Plan;
+}
 
 /// Draws \p Want distinct indices from [Lo, Hi) by partial Fisher-Yates
 /// over a scratch index vector, appending them to \p Out.
@@ -149,7 +209,7 @@ CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
   obs::Span SpanBuild("fi.plan.build");
   CampaignPlan P;
   P.Opts = O;
-  P.Runs = planCampaign(A, Golden, O.Kind, O.MaxCycles);
+  P.Runs = enumerate(A, Golden, O.Kind, O.MaxCycles);
   P.Population = P.Runs.size();
   if (O.SampleSize != 0 && O.SampleSize < P.Runs.size()) {
     std::vector<uint64_t> Keep =
@@ -177,6 +237,19 @@ CampaignPlan CampaignPlan::build(const BECAnalysis &A, const Trace &Golden,
   }
   SpanBuild.arg("population", P.Population);
   SpanBuild.arg("runs", P.Runs.size());
+  return P;
+}
+
+CampaignPlan CampaignPlan::fromRuns(std::vector<PlannedRun> Runs) {
+  assert(std::is_sorted(Runs.begin(), Runs.end(),
+                        [](const PlannedRun &X, const PlannedRun &Y) {
+                          return X.AfterCycle < Y.AfterCycle;
+                        }) &&
+         "runs must be in nondecreasing injection-cycle order");
+  CampaignPlan P;
+  P.Opts.PrefixCheckpoint = false;
+  P.Population = Runs.size();
+  P.Runs = std::move(Runs);
   return P;
 }
 

@@ -7,8 +7,9 @@
 /// need to run it to completion across interruptions:
 ///
 ///   * the run list, in golden-trace order (nondecreasing injection
-///     cycle), produced by one of the three PlanKind enumerations of
-///     planCampaign() — exhaustive, value-level, or BEC bit-level;
+///     cycle), produced by one of the three PlanKind enumerations —
+///     exhaustive, value-level, or BEC bit-level — or given explicitly
+///     (fromRuns);
 ///   * an optional stratified sample of that list (`SampleSize` runs
 ///     drawn without replacement from equal contiguous strata with a
 ///     seeded Xoshiro256, so a sample is a pure function of the plan and
@@ -58,6 +59,11 @@ public:
   /// \p O, sampling when requested.
   static CampaignPlan build(const BECAnalysis &A, const Trace &Golden,
                             const PlanOptions &O);
+
+  /// A plan over a caller-built run list, which must already be in
+  /// nondecreasing injection-cycle order. It runs without prefix
+  /// checkpoints: every suffix replays in full from its injection point.
+  static CampaignPlan fromRuns(std::vector<PlannedRun> Runs);
 
   /// The runs to execute, in nondecreasing injection-cycle order.
   const std::vector<PlannedRun> &runs() const { return Runs; }

@@ -7,6 +7,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Debug.h"
 #include "support/Json.h"
 #include "support/ThreadPool.h"
 
@@ -17,7 +18,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 
@@ -35,11 +35,6 @@ FaultEffect classifySuffix(const SettledSuffix &S, const Trace &Golden) {
   if (S.ObsHash == Golden.ObservableHash)
     return FaultEffect::Benign;
   return FaultEffect::SDC;
-}
-
-/// The engine's execution order: by injection cycle.
-bool injectedEarlier(const PlannedRun &X, const PlannedRun &Y) {
-  return X.AfterCycle < Y.AfterCycle;
 }
 
 /// Work-stealing shard scheduler: one deque per worker, seeded with a
@@ -92,9 +87,9 @@ private:
 struct EngineState {
   const Program *Prog;
   const Trace *Golden;
-  /// The runs in nondecreasing injection-cycle order (CampaignPlan's
-  /// guarantee; the raw runCampaign overload sorts its own copy), so
-  /// shard S covers runs [S*ShardSize, ...) and executes them in order.
+  /// The plan's runs, in nondecreasing injection-cycle order (the
+  /// CampaignPlan invariant), so shard S covers runs [S*ShardSize, ...)
+  /// and executes them in order.
   const std::vector<PlannedRun> *Runs;
   uint64_t ShardSize = 0;
   uint64_t NumShards = 0;
@@ -389,7 +384,7 @@ void executeShard(EngineState &St, uint64_t Shard, unsigned Me,
     Rec.Hashes.assign(St.Hashes.begin() + Lo, St.Hashes.begin() + Hi);
     Rec.Bytes.assign(St.Bytes.begin() + Lo, St.Bytes.begin() + Hi);
     std::string Err;
-    if (!St.Writer.writeShard(Rec, Err))
+    if (!St.Writer.append(encodeShard(Rec), Err))
       St.failShard(std::move(Err));
   }
 
@@ -516,19 +511,36 @@ void workerLoop(EngineState &St, StealScheduler &Sched, unsigned Me) {
   }
 }
 
-CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
-                              const std::vector<PlannedRun> &Runs,
-                              const CampaignPlan *Plan,
-                              const CampaignExecOptions &Exec) {
+} // namespace
+
+const char *bec::faultEffectName(FaultEffect E) {
+  switch (E) {
+  case FaultEffect::Masked:
+    return "masked";
+  case FaultEffect::Benign:
+    return "benign";
+  case FaultEffect::SDC:
+    return "sdc";
+  case FaultEffect::Trap:
+    return "trap";
+  case FaultEffect::Hang:
+    return "hang";
+  }
+  bec_unreachable("invalid fault effect");
+}
+
+CampaignResult bec::runCampaign(const Program &Prog, const Trace &Golden,
+                                const CampaignPlan &Plan,
+                                const CampaignExecOptions &Exec) {
   auto Start = std::chrono::steady_clock::now();
   CampaignResult Result;
-  uint64_t N = Runs.size();
+  uint64_t N = Plan.runs().size();
 
   EngineState St;
   St.StartTime = Start;
   St.Prog = &Prog;
   St.Golden = &Golden;
-  St.Runs = &Runs;
+  St.Runs = &Plan.runs();
   St.ShardSize = campaignShardSize(N, Exec.ShardSize);
   St.NumShards = N ? (N + St.ShardSize - 1) / St.ShardSize : 0;
   St.RunOpts.Record = false;
@@ -543,23 +555,18 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   St.Progress.TotalShards = St.NumShards;
   St.Progress.TotalRuns = N;
 
-  // Shards run in plan order, which is trace order: a shard's walker
-  // only moves forward.
-  assert(std::is_sorted(Runs.begin(), Runs.end(), injectedEarlier) &&
-         "runs must be in nondecreasing injection-cycle order");
-
   // Prefix-checkpoint table: one fault-free replay snapshots the golden
   // machine at every placement cycle and runs on to completion, giving
   // (a) restore targets for out-of-order shards and (b) the golden
   // continuation runs splice into once they reconverge. Built before
   // the workers start and read-only afterwards.
-  if (Plan && Plan->prefixCheckpoint() && N != 0) {
+  if (Plan.prefixCheckpoint() && N != 0) {
     static const obs::Counter CtrCreated("fi.checkpoints.created");
     static const obs::Counter CtrCkBytes("fi.checkpoints.bytes");
     obs::Span SpanTable("fi.checkpoint.table",
-                        {{"period", Plan->checkpointPeriod()}});
+                        {{"period", Plan.checkpointPeriod()}});
     Interpreter GoldenWalk(Prog, St.RunOpts);
-    for (uint64_t C : Plan->checkpointCycles()) {
+    for (uint64_t C : Plan.checkpointCycles()) {
       GoldenWalk.runToCycle(C);
       if (GoldenWalk.done() || GoldenWalk.cycle() != C)
         break;
@@ -577,7 +584,7 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
       St.CkBytes = 0;
     } else {
       St.PrefixCk = true;
-      St.LiveIn = &Plan->liveInMasks();
+      St.LiveIn = &Plan.liveInMasks();
       St.GoldenSuffix = SettledSuffix::of(GoldenFinal);
       CtrCreated.add(St.Ckpts.size());
       CtrCkBytes.add(St.CkBytes);
@@ -590,36 +597,24 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   if (!Exec.CheckpointPath.empty()) {
     // The fingerprint hashes the whole run list, so it is computed only
     // when a checkpoint file needs it.
-    CheckpointHeader Header;
-    Header.PlanFingerprint = Plan ? Plan->fingerprint() : 0;
-    Header.Runs = N;
-    Header.Shards = St.NumShards;
-    Header.ShardSize = St.ShardSize;
-    if (Exec.Resume) {
-      std::vector<ShardRecord> Records;
-      std::string Err;
-      if (!loadCheckpoint(Exec.CheckpointPath, Header, Records, Err)) {
-        Result.Error = Err;
-        return Result;
-      }
-      for (const ShardRecord &Rec : Records) {
-        uint64_t Lo = St.shardRange(Rec.Shard).first;
-        std::copy(Rec.Effects.begin(), Rec.Effects.end(),
-                  St.Effects.begin() + Lo);
-        std::copy(Rec.Hashes.begin(), Rec.Hashes.end(),
-                  St.Hashes.begin() + Lo);
-        std::copy(Rec.Bytes.begin(), Rec.Bytes.end(), St.Bytes.begin() + Lo);
-        if (St.Done[Rec.Shard] == 0)
-          ++ResumedShards;
-        St.Done[Rec.Shard] = 1;
-      }
-    }
-    std::string Err;
-    bool Append = Exec.Resume && ResumedShards > 0;
-    if (!St.Writer.open(Exec.CheckpointPath, Header, Append, Err)) {
-      Result.Error = Err;
+    ShardGeometry G{Plan.fingerprint(), N, St.NumShards, St.ShardSize};
+    std::vector<ShardRecord> Records;
+    if (Exec.Resume &&
+        !loadShards(Exec.CheckpointPath, G, Records, Result.Error))
       return Result;
+    for (const ShardRecord &Rec : Records) {
+      uint64_t Lo = St.shardRange(Rec.Shard).first;
+      std::copy(Rec.Effects.begin(), Rec.Effects.end(),
+                St.Effects.begin() + Lo);
+      std::copy(Rec.Hashes.begin(), Rec.Hashes.end(), St.Hashes.begin() + Lo);
+      std::copy(Rec.Bytes.begin(), Rec.Bytes.end(), St.Bytes.begin() + Lo);
+      if (St.Done[Rec.Shard] == 0)
+        ++ResumedShards;
+      St.Done[Rec.Shard] = 1;
     }
+    if (!St.Writer.open(Exec.CheckpointPath, shardIdentity(G), Exec.Resume,
+                        Result.Error))
+      return Result;
   }
   St.Progress.ShardsDone = ResumedShards;
   for (uint64_t S = 0; S < St.NumShards; ++S)
@@ -729,18 +724,16 @@ CampaignResult runShardedImpl(const Program &Prog, const Trace &Golden,
   for (const auto &[Hash, SizeBytes] : Archive)
     Result.ArchiveBytes += SizeBytes;
 
-  if (Plan && Plan->sampled() && !Result.Interrupted)
+  if (Plan.sampled() && !Result.Interrupted)
     Result.Sample =
         summarizeSample(Result.EffectCounts, Result.Runs,
-                        Plan->populationRuns(), Plan->options().SampleSeed);
+                        Plan.populationRuns(), Plan.options().SampleSeed);
 
   Result.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   return Result;
 }
-
-} // namespace
 
 std::function<void(const CampaignProgress &)>
 bec::throttledProgress(std::function<void(const CampaignProgress &)> Consumer) {
@@ -878,39 +871,4 @@ std::string bec::renderCampaignProfileJson(const CampaignPhaseProfile &P) {
   W.endObject();
   W.endObject();
   return W.take();
-}
-
-CampaignResult bec::runCampaign(const Program &Prog, const Trace &Golden,
-                                const CampaignPlan &Plan,
-                                const CampaignExecOptions &Exec) {
-  return runShardedImpl(Prog, Golden, Plan.runs(), &Plan, Exec);
-}
-
-CampaignResult bec::runCampaign(const Program &Prog, const Trace &Golden,
-                                std::vector<PlannedRun> Plan) {
-  // The engine runs in injection-cycle order, which a caller-built list
-  // need not be in: run a stably sorted copy and map the per-run slots
-  // back to the caller's order.
-  std::vector<uint32_t> Order(Plan.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  std::stable_sort(Order.begin(), Order.end(), [&](uint32_t X, uint32_t Y) {
-    return injectedEarlier(Plan[X], Plan[Y]);
-  });
-  std::vector<PlannedRun> Sorted;
-  Sorted.reserve(Plan.size());
-  for (uint32_t I : Order)
-    Sorted.push_back(Plan[I]);
-  CampaignResult R = runShardedImpl(Prog, Golden, Sorted, /*Plan=*/nullptr,
-                                    CampaignExecOptions{});
-  if (!R.Error.empty())
-    return R;
-  std::vector<FaultEffect> Effects(Plan.size());
-  std::vector<uint64_t> Hashes(Plan.size());
-  for (size_t K = 0; K < Order.size(); ++K) {
-    Effects[Order[K]] = R.Effects[K];
-    Hashes[Order[K]] = R.TraceHashes[K];
-  }
-  R.Effects = std::move(Effects);
-  R.TraceHashes = std::move(Hashes);
-  return R;
 }

@@ -2,6 +2,7 @@
 
 #include "fi/Validation.h"
 
+#include "fi/Engine.h"
 #include "support/Debug.h"
 
 #include <map>
@@ -20,7 +21,7 @@ ValidationResult bec::validateAnalysis(const BECAnalysis &A,
   // --- Plan: every bit of every dynamic segment in the window, plus the
   // cross-segment links implied by ToOutput fates (as used by the metrics
   // and the pruned campaign plan).
-  std::vector<PlannedRun> Plan;
+  std::vector<PlannedRun> List;
   struct CrossLink {
     int64_t InSegment;
     int64_t OutSegment;
@@ -55,7 +56,7 @@ ValidationResult bec::validateAnalysis(const BECAnalysis &A,
       GovernorSeg[V] = Seg;
       GovernorAp[V] = static_cast<int32_t>(Ap);
       for (unsigned B = 0; B < W; ++B)
-        Plan.push_back({C + 1, V, static_cast<uint8_t>(B),
+        List.push_back({C + 1, V, static_cast<uint8_t>(B),
                         A.classOf(FS.faultIndex(Ap, B)), Seg});
     }
 
@@ -83,8 +84,10 @@ ValidationResult bec::validateAnalysis(const BECAnalysis &A,
     }
   }
 
-  // --- Execute.
-  CampaignResult Runs = runCampaign(Prog, Golden, Plan);
+  // --- Execute. The list is in trace order, as a plan must be.
+  CampaignPlan Campaign = CampaignPlan::fromRuns(std::move(List));
+  const std::vector<PlannedRun> &Plan = Campaign.runs();
+  CampaignResult Runs = runCampaign(Prog, Golden, Campaign);
 
   // --- Classify.
   ValidationResult Result;

@@ -16,17 +16,16 @@
 
 #include "fuzz/Fuzzer.h"
 
+#include "fi/Checkpoint.h"
 #include "fuzz/Minimizer.h"
 #include "sim/Interpreter.h"
-#include "support/Json.h"
-#include "support/JsonParse.h"
+#include "support/File.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 
@@ -81,8 +80,8 @@ CorpusSelection selectCorpus(const FuzzOptions &O) {
     GeneratedProgram G = generateProgram(Seed, O.Gen);
     uint64_t Cost = 0;
     if (G.Error.empty()) {
-      // Exhaustive plan size of this program's oracle window — the exact
-      // cost formula of planCampaign(Exhaustive).
+      // Exhaustive plan size of this program's oracle window: the
+      // population of CampaignPlan::build with PlanKind::Exhaustive.
       Trace Golden = simulate(G.Prog);
       uint64_t Limit = O.Oracle.MaxCycles
                            ? std::min<uint64_t>(O.Oracle.MaxCycles,
@@ -104,106 +103,6 @@ CorpusSelection selectCorpus(const FuzzOptions &O) {
   return Sel;
 }
 
-/// One finished program's durable record.
-struct ProgramRecord {
-  uint64_t ExRuns = 0;
-  uint64_t BitRuns = 0;
-  std::array<uint64_t, NumFaultEffects> Effects{};
-  uint64_t Mismatches = 0;
-};
-
-std::string recordLine(uint64_t Index, uint64_t Seed,
-                       const ProgramRecord &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("program").value(Index);
-  W.key("seed").value(hex64(Seed));
-  W.key("ex_runs").value(R.ExRuns);
-  W.key("bit_runs").value(R.BitRuns);
-  W.key("effects").beginArray();
-  for (uint64_t E : R.Effects)
-    W.value(E);
-  W.endArray();
-  W.key("mismatches").value(R.Mismatches);
-  W.endObject();
-  return W.take() + "\n";
-}
-
-std::string headerLine(uint64_t Fingerprint, uint64_t Programs) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("bec_fuzz_checkpoint").value(uint64_t(1));
-  W.key("fingerprint").value(hex64(Fingerprint));
-  W.key("programs").value(Programs);
-  W.endObject();
-  return W.take() + "\n";
-}
-
-/// Loads a fuzz checkpoint. Missing file: OK, zero records. Existing file
-/// whose header disagrees with this campaign: an error, never a silent
-/// partial reuse. Torn or malformed lines (what a kill leaves behind) are
-/// skipped.
-bool loadFuzzCheckpoint(const std::string &Path, uint64_t Fingerprint,
-                        const std::vector<uint64_t> &Seeds,
-                        std::map<uint64_t, ProgramRecord> &Records,
-                        bool &HadHeader, std::string &Err) {
-  HadHeader = false;
-  std::ifstream In(Path);
-  if (!In.is_open())
-    return true;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    std::optional<JsonValue> V = parseJson(Line);
-    if (!V || !V->isObject())
-      continue; // torn trailing line
-    if (V->member("bec_fuzz_checkpoint")) {
-      const std::string *FP = V->memberString("fingerprint");
-      std::optional<uint64_t> Programs = V->memberU64("programs");
-      if (!FP || *FP != hex64(Fingerprint) || !Programs ||
-          *Programs != Seeds.size()) {
-        Err = "checkpoint '" + Path + "' belongs to a different fuzz "
-              "campaign (fingerprint or corpus size mismatch)";
-        return false;
-      }
-      HadHeader = true;
-      continue;
-    }
-    if (!HadHeader) {
-      Err = "checkpoint '" + Path + "' has no fuzz header";
-      return false;
-    }
-    std::optional<uint64_t> Index = V->memberU64("program");
-    const std::string *Seed = V->memberString("seed");
-    std::optional<uint64_t> Ex = V->memberU64("ex_runs");
-    std::optional<uint64_t> Bit = V->memberU64("bit_runs");
-    std::optional<uint64_t> Mismatches = V->memberU64("mismatches");
-    const JsonValue *Effects = V->member("effects");
-    if (!Index || *Index >= Seeds.size() || !Seed ||
-        *Seed != hex64(Seeds[*Index]) || !Ex || !Bit || !Mismatches ||
-        !Effects || !Effects->isArray() ||
-        Effects->asArray()->size() != NumFaultEffects)
-      continue; // malformed record
-    ProgramRecord R;
-    R.ExRuns = *Ex;
-    R.BitRuns = *Bit;
-    R.Mismatches = *Mismatches;
-    bool Good = true;
-    for (unsigned E = 0; E < NumFaultEffects; ++E) {
-      std::optional<uint64_t> C = (*Effects->asArray())[E].asU64();
-      if (!C) {
-        Good = false;
-        break;
-      }
-      R.Effects[E] = *C;
-    }
-    if (Good)
-      Records[*Index] = R; // duplicates: last wins
-  }
-  return true;
-}
-
 } // namespace
 
 FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
@@ -218,18 +117,21 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
 
   uint64_t Fingerprint = optionsFingerprint(O);
 
-  // Resume: trust clean records; mismatching records re-run so their
-  // details and reproducers are regenerated.
+  // Resume: trust clean records of this corpus; mismatching records
+  // re-run so their details and reproducers are regenerated.
   std::map<uint64_t, ProgramRecord> Trusted;
-  bool HadHeader = false;
   if (!O.CheckpointPath.empty() && O.Resume) {
-    std::map<uint64_t, ProgramRecord> Records;
-    if (!loadFuzzCheckpoint(O.CheckpointPath, Fingerprint, Sel.Seeds, Records,
-                            HadHeader, Result.Error))
+    std::vector<ProgramRecord> Records;
+    if (!loadPrograms(O.CheckpointPath, Fingerprint, Sel.Seeds.size(),
+                      Records, Result.Error))
       return Result;
-    for (auto &[Index, R] : Records)
-      if (R.Mismatches == 0)
-        Trusted.emplace(Index, R);
+    for (const ProgramRecord &R : Records) // duplicates: last wins
+      if (R.Seed == Sel.Seeds[R.Program]) {
+        if (R.Mismatches == 0)
+          Trusted[R.Program] = R;
+        else
+          Trusted.erase(R.Program);
+      }
   }
 
   if (!O.BankDir.empty()) {
@@ -242,20 +144,12 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
     }
   }
 
-  std::ofstream Checkpoint;
-  if (!O.CheckpointPath.empty()) {
-    bool Append = O.Resume && HadHeader;
-    Checkpoint.open(O.CheckpointPath, Append ? std::ios::app
-                                             : std::ios::trunc);
-    if (!Checkpoint.is_open()) {
-      Result.Error = "cannot open checkpoint '" + O.CheckpointPath + "'";
-      return Result;
-    }
-    if (!Append) {
-      Checkpoint << headerLine(Fingerprint, Sel.Seeds.size());
-      Checkpoint.flush();
-    }
-  }
+  CheckpointWriter Checkpoint;
+  if (!O.CheckpointPath.empty() &&
+      !Checkpoint.open(O.CheckpointPath,
+                       programIdentity(Fingerprint, Sel.Seeds.size()),
+                       O.Resume, Result.Error))
+    return Result;
 
   for (const auto &[Index, R] : Trusted) {
     (void)Index;
@@ -283,6 +177,8 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
       uint64_t Seed = Sel.Seeds[Index];
       GeneratedProgram G = generateProgram(Seed, O.Gen);
       ProgramRecord R;
+      R.Program = Index;
+      R.Seed = Seed;
       std::optional<FuzzMismatch> Bad;
       if (!G.Error.empty()) {
         R.Mismatches = 1;
@@ -315,14 +211,13 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
           if (!O.BankDir.empty()) {
             std::string Path =
                 O.BankDir + "/repro_" + hex64(Seed) + ".s";
-            std::ofstream Out(Path, std::ios::trunc);
-            Out << "# bec fuzz reproducer\n"
-                << "# seed 0x" << hex64(Seed) << " (program " << Index
-                << " of corpus seed " << O.Seed << ")\n"
-                << "# oracle: " << Bad->Oracle << "\n"
-                << "# detail: " << Bad->Detail << "\n"
-                << Bad->MinimizedAsm;
-            if (Out.good())
+            if (writeFile(Path, "# bec fuzz reproducer\n# seed 0x" +
+                                    hex64(Seed) + " (program " +
+                                    std::to_string(Index) +
+                                    " of corpus seed " +
+                                    std::to_string(O.Seed) + ")\n# oracle: " +
+                                    Bad->Oracle + "\n# detail: " +
+                                    Bad->Detail + "\n" + Bad->MinimizedAsm))
               Bad->BankedPath = Path;
           }
         }
@@ -335,10 +230,9 @@ FuzzResult bec::fuzz::runFuzz(const FuzzOptions &O) {
         Result.PrunedEffects[E] += R.Effects[E];
       if (Bad)
         Result.Mismatches.push_back(std::move(*Bad));
-      if (Checkpoint.is_open()) {
-        Checkpoint << recordLine(Index, Seed, R);
-        Checkpoint.flush();
-      }
+      std::string Ignored; // A failed append costs a re-run on resume.
+      if (Checkpoint.isOpen())
+        Checkpoint.append(encodeProgram(R), Ignored);
       ++Done;
       if (O.OnProgress)
         O.OnProgress({Done, ToRun.size(),
@@ -368,9 +262,7 @@ std::string bec::fuzz::emitCorpus(const FuzzOptions &O,
     if (!G.Error.empty())
       return "seed " + hex64(Seed) + " does not generate: " + G.Error;
     std::string Path = Dir + "/seed_" + hex64(Seed) + ".s";
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << G.Asm;
-    if (!Out.good())
+    if (!writeFile(Path, G.Asm))
       return "cannot write '" + Path + "'";
   }
   return {};

@@ -46,8 +46,9 @@ struct FuzzOptions {
   /// Worker threads (<= 1 = inline, deterministic scheduling).
   unsigned Threads = 1;
   /// JSONL checkpoint path ("" = none); Resume loads finished programs
-  /// from it first. Identical conventions to campaign checkpoints:
-  /// missing file = zero resumed, wrong fingerprint = error.
+  /// from it first. The same codec layer as campaign checkpoints
+  /// (fi/Checkpoint.h): missing file = zero resumed, wrong fingerprint =
+  /// error.
   std::string CheckpointPath;
   bool Resume = false;
   /// Stop dispatching new programs once this many completed in this

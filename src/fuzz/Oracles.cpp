@@ -140,26 +140,33 @@ OracleReport bec::fuzz::runOracles(const Program &Prog,
                                : Golden.Cycles;
   BECAnalysis A = BECAnalysis::run(Prog);
 
-  // Primary oracle: BEC-pruned verdicts vs exhaustive ground truth. The
-  // bit-level window is one cycle short of the exhaustive window so every
-  // pruned injection cycle (C + 1) lies inside exhaustive coverage.
-  std::vector<PlannedRun> ExPlan;
+  // Primary oracle: BEC-pruned verdicts vs exhaustive ground truth, both
+  // replayed in full from their injection points. The bit-level window is
+  // one cycle short of the exhaustive window so every pruned injection
+  // cycle (C + 1) lies inside exhaustive coverage.
+  CampaignPlan ExPlan;
   CampaignResult Ex;
   {
     obs::Span Span("fuzz.oracle.exhaustive");
-    ExPlan = planCampaign(A, Golden, PlanKind::Exhaustive, Limit);
+    ExPlan = CampaignPlan::build(A, Golden,
+                                 {.Kind = PlanKind::Exhaustive,
+                                  .MaxCycles = Limit,
+                                  .PrefixCheckpoint = false});
     Ex = runCampaign(Prog, Golden, ExPlan);
   }
   Report.ExhaustiveRuns = Ex.Runs;
-  std::vector<PlannedRun> BitPlan;
   CampaignResult Bit;
   if (Limit > 1) {
     obs::Span Span("fuzz.oracle.bit-level");
-    BitPlan = planCampaign(A, Golden, PlanKind::BitLevel, Limit - 1);
+    CampaignPlan BitPlan = CampaignPlan::build(
+        A, Golden,
+        {.Kind = PlanKind::BitLevel,
+         .MaxCycles = Limit - 1,
+         .PrefixCheckpoint = false});
     Bit = runCampaign(Prog, Golden, BitPlan);
     Report.PrunedRuns = Bit.Runs;
     Report.PrunedEffects = Bit.EffectCounts;
-    compareVerdicts(ExPlan, Ex.Effects, BitPlan, Bit.Effects,
+    compareVerdicts(ExPlan.runs(), Ex.Effects, BitPlan.runs(), Bit.Effects,
                     Report.Mismatches);
   }
 

@@ -2,11 +2,11 @@
 
 #include "obs/Trace.h"
 
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <mutex>
 #include <vector>
 
@@ -174,22 +174,6 @@ std::string bec::obs::traceEnd() {
   return Out;
 }
 
-bool bec::obs::writeTrace(const std::string &Path, std::string &Err) {
-  std::string Json = traceEnd();
-  std::ofstream OutFile(Path, std::ios::binary);
-  if (!OutFile) {
-    Err = "cannot write trace file '" + Path + "'";
-    return false;
-  }
-  OutFile << Json;
-  OutFile.flush();
-  if (!OutFile) {
-    Err = "failed writing trace file '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
 void bec::obs::setTraceThreadName(const std::string &Name) {
   if (!traceActive())
     return;
@@ -285,16 +269,11 @@ Span::~Span() {
   emit(std::move(E));
 }
 
-#else // BEC_OBS_DISABLED
+#endif // BEC_OBS_DISABLED
 
 bool bec::obs::writeTrace(const std::string &Path, std::string &Err) {
-  std::ofstream OutFile(Path, std::ios::binary);
-  if (!OutFile) {
-    Err = "cannot write trace file '" + Path + "'";
-    return false;
-  }
-  OutFile << traceEnd();
-  return true;
+  if (writeFile(Path, traceEnd()))
+    return true;
+  Err = "cannot write trace file '" + Path + "'";
+  return false;
 }
-
-#endif // BEC_OBS_DISABLED

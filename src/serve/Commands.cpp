@@ -268,6 +268,18 @@ constexpr std::pair<const char *, uint64_t CampaignProgress::*> Counters[] = {
     {"steals", &CampaignProgress::Steals},
     {"snapshot_rebuilds", &CampaignProgress::SnapshotRebuilds}};
 
+/// \p Asm, the Program::toString text of a program derived from
+/// \p Shard's (whose name starts with the shard's), named after the
+/// request's \p Target instead. A session shares one shard among targets
+/// of equal content, named after the first one interned; an emitted
+/// program is named after the target, wherever the request ran.
+std::string renamed(const std::string &Asm, const CachedProgramPtr &Shard,
+                    const std::string &Target) {
+  size_t Skip = std::string_view("# program: ").size() +
+                Shard->program().Name.size();
+  return "# program: " + Target + Asm.substr(Skip);
+}
+
 } // namespace
 
 std::string serve::progressJson(const std::string &Target,
@@ -340,9 +352,11 @@ CommandOutcome serve::runCommand(AnalysisSession &S,
         J ? renderScheduleJson : renderScheduleText);
     // PolicyAsm holds source, best, worst; the enum is best, worst, source.
     if (O.Exit == ExitSuccess && R.EmitSchedule)
-      O.Emit = Res[0]->PolicyAsm[*R.EmitSchedule == SchedulePolicy::SourceOrder
-                                     ? 0
-                                     : 1 + size_t(*R.EmitSchedule)];
+      O.Emit = renamed(
+          Res[0]->PolicyAsm[*R.EmitSchedule == SchedulePolicy::SourceOrder
+                                ? 0
+                                : 1 + size_t(*R.EmitSchedule)],
+          Progs[0], Names[0]);
     break;
   }
   case CommandKind::Harden: {
@@ -360,7 +374,8 @@ CommandOutcome serve::runCommand(AnalysisSession &S,
             O.Exit = ExitUnsound;
           }
     if (O.Exit == ExitSuccess && R.EmitHardened)
-      O.Emit = Res[0]->Points[0].Harden.HP.Prog.toString();
+      O.Emit = renamed(Res[0]->Points[0].Harden.HP.Prog.toString(), Progs[0],
+                       Names[0]);
     break;
   }
   case CommandKind::Report: {

@@ -33,13 +33,22 @@ loop:
   ret
 )";
 
+/// \p Kind's plan over the first \p MaxCycles cycles (0 = all), with
+/// every suffix replayed in full from its injection point: the reference
+/// the engine's shortcuts are compared against.
+CampaignPlan fullReplayPlan(const BECAnalysis &A, const Trace &Golden,
+                            PlanKind Kind, uint64_t MaxCycles = 0) {
+  return CampaignPlan::build(
+      A, Golden,
+      {.Kind = Kind, .MaxCycles = MaxCycles, .PrefixCheckpoint = false});
+}
+
 TEST(CampaignPlan, ExhaustiveCoversEverySite) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  std::vector<PlannedRun> Plan =
-      planCampaign(A, Golden, PlanKind::Exhaustive);
-  EXPECT_EQ(Plan.size(), Golden.Cycles * NumRegs * Prog.Width);
+  CampaignPlan Plan = CampaignPlan::build(A, Golden, {PlanKind::Exhaustive});
+  EXPECT_EQ(Plan.runs().size(), Golden.Cycles * NumRegs * Prog.Width);
 }
 
 TEST(CampaignPlan, PlanSizesMatchTheMetricCounts) {
@@ -48,9 +57,10 @@ TEST(CampaignPlan, PlanSizesMatchTheMetricCounts) {
   Trace Golden = simulate(Prog);
   FaultInjectionCounts C = countFaultInjectionRuns(A, Golden.Executed);
   std::vector<PlannedRun> Value =
-      planCampaign(A, Golden, PlanKind::ValueLevel);
+      CampaignPlan::build(A, Golden, {PlanKind::ValueLevel}).runs();
   EXPECT_EQ(Value.size(), C.ValueLevelRuns);
-  std::vector<PlannedRun> Bit = planCampaign(A, Golden, PlanKind::BitLevel);
+  std::vector<PlannedRun> Bit =
+      CampaignPlan::build(A, Golden, {PlanKind::BitLevel}).runs();
   // The plan does not deduplicate across segments (each dynamic segment
   // probes its classes), so it can only be >= the fully-deduplicated
   // metric count and <= the value-level count.
@@ -66,7 +76,8 @@ TEST(CampaignRun, GoldenReplayIsMasked) {
   std::vector<PlannedRun> Plan;
   for (uint64_t C = 0; C < Golden.Cycles; ++C)
     Plan.push_back({C, RegZero, 7, 0, -1});
-  CampaignResult R = runCampaign(Prog, Golden, std::move(Plan));
+  CampaignResult R =
+      runCampaign(Prog, Golden, CampaignPlan::fromRuns(std::move(Plan)));
   EXPECT_EQ(R.EffectCounts[static_cast<unsigned>(FaultEffect::Masked)],
             R.Runs);
 }
@@ -80,7 +91,8 @@ TEST(CampaignRun, ClassifiesSilentDataCorruption) {
   std::vector<PlannedRun> Plan = {
       {Golden.Cycles - 2, RegA0, 0, 0, -1},
   };
-  CampaignResult R = runCampaign(Prog, Golden, std::move(Plan));
+  CampaignResult R =
+      runCampaign(Prog, Golden, CampaignPlan::fromRuns(std::move(Plan)));
   EXPECT_EQ(R.EffectCounts[static_cast<unsigned>(FaultEffect::SDC)], 1u);
 }
 
@@ -88,9 +100,8 @@ TEST(CampaignRun, MaskedPlusLiveEqualsRuns) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  std::vector<PlannedRun> Plan =
-      planCampaign(A, Golden, PlanKind::ValueLevel);
-  CampaignResult R = runCampaign(Prog, Golden, std::move(Plan));
+  CampaignResult R =
+      runCampaign(Prog, Golden, fullReplayPlan(A, Golden, PlanKind::ValueLevel));
   uint64_t Sum = 0;
   for (uint64_t Count : R.EffectCounts)
     Sum += Count;
@@ -107,10 +118,10 @@ TEST(CampaignRun, BecPrunedRunsAreSubsetEquivalent) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  CampaignResult Value = runCampaign(
-      Prog, Golden, planCampaign(A, Golden, PlanKind::ValueLevel));
+  CampaignResult Value =
+      runCampaign(Prog, Golden, fullReplayPlan(A, Golden, PlanKind::ValueLevel));
   CampaignResult Bit =
-      runCampaign(Prog, Golden, planCampaign(A, Golden, PlanKind::BitLevel));
+      runCampaign(Prog, Golden, fullReplayPlan(A, Golden, PlanKind::BitLevel));
   std::set<uint64_t> ValueTraces(Value.TraceHashes.begin(),
                                  Value.TraceHashes.end());
   std::set<uint64_t> BitTraces(Bit.TraceHashes.begin(),
@@ -195,8 +206,8 @@ TEST(CampaignEngine, ShardedMatchesSerialAtEveryThreadCount) {
   Program Prog = parseAsmOrDie(SmallLoop, "loop");
   BECAnalysis A = BECAnalysis::run(Prog);
   Trace Golden = simulate(Prog);
-  CampaignResult Serial = runCampaign(
-      Prog, Golden, planCampaign(A, Golden, PlanKind::ValueLevel));
+  CampaignResult Serial =
+      runCampaign(Prog, Golden, fullReplayPlan(A, Golden, PlanKind::ValueLevel));
 
   PlanOptions PO;
   PO.Kind = PlanKind::ValueLevel;
@@ -210,24 +221,6 @@ TEST(CampaignEngine, ShardedMatchesSerialAtEveryThreadCount) {
     EXPECT_FALSE(R.Interrupted);
     expectSameResult(Serial, R);
   }
-}
-
-TEST(CampaignEngine, UnsortedPlanExecutesBySortedOrderSlotsByPlanOrder) {
-  Program Prog = parseAsmOrDie(SmallLoop, "loop");
-  BECAnalysis A = BECAnalysis::run(Prog);
-  Trace Golden = simulate(Prog);
-  std::vector<PlannedRun> Forward =
-      planCampaign(A, Golden, PlanKind::ValueLevel);
-  std::vector<PlannedRun> Reversed(Forward.rbegin(), Forward.rend());
-  CampaignResult F = runCampaign(Prog, Golden, Forward);
-  CampaignResult R = runCampaign(Prog, Golden, Reversed);
-  ASSERT_EQ(F.Runs, R.Runs);
-  // Slot i of the reversed result is slot N-1-i of the forward one.
-  for (size_t I = 0; I < Forward.size(); ++I) {
-    EXPECT_EQ(R.Effects[I], F.Effects[Forward.size() - 1 - I]);
-    EXPECT_EQ(R.TraceHashes[I], F.TraceHashes[Forward.size() - 1 - I]);
-  }
-  EXPECT_EQ(F.EffectCounts, R.EffectCounts);
 }
 
 /// Interrupt a checkpointed campaign after K shards, resume it (with a
@@ -590,9 +583,10 @@ TEST(CampaignRun, PrunedVerdictsEqualExhaustivePerRepresentative) {
     BECAnalysis A = BECAnalysis::run(In.Prog);
     Trace Golden = simulate(In.Prog);
     uint64_t Window = In.Window ? In.Window : Golden.Cycles;
-    std::vector<PlannedRun> ExPlan =
-        planCampaign(A, Golden, PlanKind::Exhaustive, Window);
-    CampaignResult Ex = runCampaign(In.Prog, Golden, ExPlan);
+    CampaignPlan ExCampaign =
+        fullReplayPlan(A, Golden, PlanKind::Exhaustive, Window);
+    const std::vector<PlannedRun> &ExPlan = ExCampaign.runs();
+    CampaignResult Ex = runCampaign(In.Prog, Golden, ExCampaign);
     std::map<uint64_t, FaultEffect> BySite;
     for (size_t I = 0; I < ExPlan.size(); ++I)
       BySite[(ExPlan[I].AfterCycle << 16) | (uint64_t(ExPlan[I].R) << 8) |
@@ -600,10 +594,11 @@ TEST(CampaignRun, PrunedVerdictsEqualExhaustivePerRepresentative) {
 
     // Segment plans inject *after* the accessing cycle, so the pruned
     // window is one cycle shorter: every kept site has an exhaustive twin.
-    std::vector<PlannedRun> BitPlan =
-        planCampaign(A, Golden, PlanKind::BitLevel, Window - 1);
+    CampaignPlan BitCampaign =
+        fullReplayPlan(A, Golden, PlanKind::BitLevel, Window - 1);
+    const std::vector<PlannedRun> &BitPlan = BitCampaign.runs();
     ASSERT_FALSE(BitPlan.empty()) << In.Prog.Name;
-    CampaignResult Bit = runCampaign(In.Prog, Golden, BitPlan);
+    CampaignResult Bit = runCampaign(In.Prog, Golden, BitCampaign);
     for (size_t I = 0; I < BitPlan.size(); ++I) {
       uint64_t Key = (BitPlan[I].AfterCycle << 16) |
                      (uint64_t(BitPlan[I].R) << 8) | BitPlan[I].Bit;

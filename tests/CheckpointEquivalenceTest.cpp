@@ -209,7 +209,9 @@ TEST(CheckpointEquivalence, ForkFromCheckpointMatchesFromZeroOnAllWorkloads) {
     Trace Golden = simulate(Prog);
     ASSERT_EQ(Golden.End, Outcome::Finished) << W.Name;
     std::vector<PlannedRun> Sites =
-        planCampaign(A, Golden, PlanKind::BitLevel, /*MaxCycles=*/96);
+        CampaignPlan::build(A, Golden,
+                            {.Kind = PlanKind::BitLevel, .MaxCycles = 96})
+            .runs();
     ASSERT_FALSE(Sites.empty()) << W.Name;
     RunOptions RO = hashOnly(Golden.Cycles);
     std::vector<MachineState> Table = buildTable(Prog, RO, /*K=*/7);
@@ -510,7 +512,9 @@ main:
   expectSameResult(Off, On);
   EXPECT_EQ(On.SplicedRuns, On.Runs - Prog.Width);
   std::vector<PlannedRun> Runs =
-      planCampaign(A, Golden, PlanKind::Exhaustive, 2);
+      CampaignPlan::build(A, Golden,
+                          {.Kind = PlanKind::Exhaustive, .MaxCycles = 2})
+          .runs();
   ASSERT_EQ(Runs.size(), On.Effects.size());
   Reg T0 = *parseRegName("t0");
   uint64_t LiveFlips = 0;

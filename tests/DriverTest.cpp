@@ -35,6 +35,14 @@ DriverRun run(std::vector<std::string> Args) {
   return {Status, Out.str(), Err.str()};
 }
 
+/// Reads a file into a string (empty when missing).
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
 TEST(Driver, AnalyzeBitcountMatchesDirectPipeline) {
   DriverRun R = run({"analyze", "--workload", "bitcount"});
   EXPECT_EQ(R.Status, tool::ExitSuccess) << R.Err;
@@ -121,6 +129,16 @@ TEST(Driver, CampaignCheckpointResumeReportIsByteIdentical) {
   EXPECT_EQ(Resumed.Status, tool::ExitSuccess) << Resumed.Err;
   EXPECT_EQ(maskCampaignSeconds(Full.Out), maskCampaignSeconds(Resumed.Out));
   EXPECT_NE(Resumed.Err.find("resumed"), std::string::npos);
+
+  // A campaign checkpoint is not a fuzz checkpoint: resuming a fuzz run
+  // from it is an error that leaves the file as it was.
+  std::string Before = slurp(Path);
+  DriverRun Fuzz = run({"fuzz", "--count", "4", "--seed", "3", "--max-cycles",
+                        "24", "--checkpoint", Path, "--resume"});
+  EXPECT_EQ(Fuzz.Status, tool::ExitBadInput);
+  EXPECT_NE(Fuzz.Err.find("is not a bec fuzz checkpoint"), std::string::npos)
+      << Fuzz.Err;
+  EXPECT_EQ(slurp(Path), Before);
   std::remove(Path.c_str());
 }
 
@@ -600,14 +618,6 @@ TEST(Driver, FlagsAreRejectedWhereNoSubcommandReadsThem) {
   });
 }
 
-/// Reads a file into a string (empty when missing).
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
 TEST(Driver, TraceOutWritesABalancedChromeTraceAndSameReport) {
   std::string Path = testing::TempDir() + "/driver_trace.json";
   std::remove(Path.c_str());
@@ -866,6 +876,31 @@ TEST(Driver, FuzzCheckpointResumeReportIsByteIdentical) {
   EXPECT_EQ(maskCampaignSeconds(Full.Out), maskCampaignSeconds(Resumed.Out));
   EXPECT_NE(Resumed.Err.find("resumed 4 of 4"), std::string::npos)
       << Resumed.Err;
+
+  // A kill mid-write leaves the last record cut mid-line: it is skipped,
+  // its program re-runs, and the report is the same.
+  std::string Whole = slurp(Path);
+  std::ofstream(Path) << Whole.substr(0, Whole.size() - 7);
+  DriverRun Torn = run(ResumeCmd);
+  EXPECT_EQ(Torn.Status, tool::ExitSuccess) << Torn.Err;
+  EXPECT_EQ(maskCampaignSeconds(Full.Out), maskCampaignSeconds(Torn.Out));
+  EXPECT_NE(Torn.Err.find("resumed 3 of 4"), std::string::npos) << Torn.Err;
+  // The re-run record starts on a line of its own, so a second resume
+  // trusts all four programs.
+  DriverRun Again = run(ResumeCmd);
+  EXPECT_EQ(maskCampaignSeconds(Full.Out), maskCampaignSeconds(Again.Out));
+  EXPECT_NE(Again.Err.find("resumed 4 of 4"), std::string::npos) << Again.Err;
+
+  // A fuzz checkpoint is not a campaign checkpoint.
+  std::string Before = slurp(Path);
+  DriverRun Campaign =
+      run({"campaign", "--workload", "bitcount", "--max-cycles", "120",
+           "--checkpoint", Path, "--resume"});
+  EXPECT_EQ(Campaign.Status, tool::ExitBadInput);
+  EXPECT_NE(Campaign.Err.find("is not a bec campaign checkpoint"),
+            std::string::npos)
+      << Campaign.Err;
+  EXPECT_EQ(slurp(Path), Before);
   std::remove(Path.c_str());
 }
 

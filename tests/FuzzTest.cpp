@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/BECAnalysis.h"
+#include "fi/Engine.h"
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Minimizer.h"
 #include "ir/AsmParser.h"
@@ -140,12 +141,19 @@ TEST(FuzzOracles, CompareVerdictsCatchesACorruptedEffect) {
   uint64_t Limit = std::min<uint64_t>(24, Golden.Cycles);
   ASSERT_GT(Limit, 1u);
   BECAnalysis A = BECAnalysis::run(G.Prog);
-  std::vector<PlannedRun> ExPlan =
-      planCampaign(A, Golden, PlanKind::Exhaustive, Limit);
-  CampaignResult Ex = runCampaign(G.Prog, Golden, ExPlan);
-  std::vector<PlannedRun> BitPlan =
-      planCampaign(A, Golden, PlanKind::BitLevel, Limit - 1);
-  CampaignResult Bit = runCampaign(G.Prog, Golden, BitPlan);
+  // Ground truth: every suffix replayed in full, as the primary oracle.
+  CampaignPlan ExCampaign = CampaignPlan::build(
+      A, Golden,
+      {.Kind = PlanKind::Exhaustive, .MaxCycles = Limit,
+       .PrefixCheckpoint = false});
+  const std::vector<PlannedRun> &ExPlan = ExCampaign.runs();
+  CampaignResult Ex = runCampaign(G.Prog, Golden, ExCampaign);
+  CampaignPlan BitCampaign = CampaignPlan::build(
+      A, Golden,
+      {.Kind = PlanKind::BitLevel, .MaxCycles = Limit - 1,
+       .PrefixCheckpoint = false});
+  const std::vector<PlannedRun> &BitPlan = BitCampaign.runs();
+  CampaignResult Bit = runCampaign(G.Prog, Golden, BitCampaign);
   ASSERT_FALSE(Bit.Effects.empty());
 
   std::vector<OracleMismatch> Mismatches;

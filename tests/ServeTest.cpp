@@ -40,6 +40,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 using namespace bec;
 using namespace bec::serve;
@@ -948,14 +949,25 @@ TEST(DriverServe, RemoteSubcommandsAreByteIdentical) {
   }
 
   // --emit writes the server's assembly locally: the files match too.
-  for (const auto &[Sub, Workload] :
-       {std::pair{"schedule", "bitcount"}, {"harden", "crc32"}}) {
+  // The server already holds CRC32's schedules under CRC32's names when
+  // it receives a file with the same content as the best one; the
+  // emitted program is still named after the file.
+  std::string Sched = testing::TempDir() + "/emit_crc32_best.s";
+  ASSERT_EQ(runLocal({"schedule", "--all", "--remote", Remote}).Status,
+            tool::ExitSuccess);
+  ASSERT_EQ(runLocal({"schedule", "--workload", "crc32", "--emit", Sched})
+                .Status,
+            tool::ExitSuccess);
+  for (const auto &[Sub, Flag, Target] :
+       {std::tuple{"schedule", "--workload", "bitcount"},
+        {"harden", "--workload", "crc32"},
+        {"schedule", "--asm", Sched.c_str()},
+        {"harden", "--asm", Sched.c_str()}}) {
     std::string LocalFile = testing::TempDir() + "/emit_local_" + Sub + ".s";
     std::string RemoteFile = testing::TempDir() + "/emit_remote_" + Sub + ".s";
-    DriverRun Local = runLocal({Sub, "--workload", Workload, "--emit",
-                                LocalFile});
-    DriverRun Rem = runLocal({Sub, "--workload", Workload, "--emit",
-                              RemoteFile, "--remote", Remote});
+    DriverRun Local = runLocal({Sub, Flag, Target, "--emit", LocalFile});
+    DriverRun Rem =
+        runLocal({Sub, Flag, Target, "--emit", RemoteFile, "--remote", Remote});
     EXPECT_EQ(Rem.Status, Local.Status) << Sub;
     EXPECT_EQ(Rem.Out, Local.Out) << Sub;
     EXPECT_EQ(Rem.Err, Local.Err) << Sub;
@@ -964,10 +976,11 @@ TEST(DriverServe, RemoteSubcommandsAreByteIdentical) {
       return std::string(std::istreambuf_iterator<char>(In), {});
     };
     EXPECT_FALSE(Slurp(LocalFile).empty()) << Sub;
-    EXPECT_EQ(Slurp(RemoteFile), Slurp(LocalFile)) << Sub;
+    EXPECT_EQ(Slurp(RemoteFile), Slurp(LocalFile)) << Sub << " " << Target;
     std::remove(LocalFile.c_str());
     std::remove(RemoteFile.c_str());
   }
+  std::remove(Sched.c_str());
 }
 
 TEST(DriverServe, ClientSubcommandMatchesLocal) {

@@ -23,6 +23,7 @@
 #include "serve/Client.h"
 #include "serve/Commands.h"
 #include "serve/Service.h"
+#include "support/File.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 #include "support/StringUtils.h"
@@ -869,8 +870,7 @@ int finishCommand(const serve::CommandOutcome &C, const DriverOptions &Opts,
       Err << "bec: server returned no emitted assembly\n";
       return ExitBadInput;
     }
-    std::ofstream OutFile(Opts.EmitPath);
-    if (!(OutFile << C.Emit)) {
+    if (!writeFile(Opts.EmitPath, C.Emit)) {
       Err << "bec: cannot write '" << Opts.EmitPath << "'\n";
       return ExitBadInput;
     }
@@ -883,10 +883,8 @@ int finishCommand(const serve::CommandOutcome &C, const DriverOptions &Opts,
         << " of " << C.Campaign->Campaign.Shards << " shards from '"
         << Opts.Local.CheckpointPath << "'\n";
   if (const std::string &Path = Opts.Local.ProfilePath; !Path.empty()) {
-    std::ofstream PF(Path, std::ios::binary);
-    if (PF)
-      PF << renderCampaignProfileJson(C.Campaign->Campaign.Profile);
-    if (!PF) {
+    if (!writeFile(Path,
+                   renderCampaignProfileJson(C.Campaign->Campaign.Profile))) {
       Err << "bec: cannot write profile file '" << Path << "'\n";
       return ExitBadInput;
     }
@@ -1328,7 +1326,7 @@ int listenAndRun(net::EventServer &Srv, const DriverOptions &Opts,
   Out.flush();
   if (!Opts.PortFile.empty()) {
     std::string Tmp = Opts.PortFile + ".tmp";
-    if (!(std::ofstream(Tmp) << Srv.port() << "\n")) {
+    if (!writeFile(Tmp, std::to_string(Srv.port()) + "\n")) {
       Err << "bec: cannot write '" << Opts.PortFile << "'\n";
       return ExitBadInput;
     }
@@ -1807,8 +1805,7 @@ int bec::tool::runDriver(const std::vector<std::string> &Args,
   if (!Opts.TraceOutPath.empty()) {
     std::string Doc = obs::traceEnd();
     spliceRemoteSpans(Doc, DT);
-    std::ofstream TraceFile(Opts.TraceOutPath, std::ios::binary);
-    if (!(TraceFile << Doc << std::flush)) {
+    if (!writeFile(Opts.TraceOutPath, Doc)) {
       Err << "bec: cannot write trace file '" << Opts.TraceOutPath << "'\n";
       if (Status == ExitSuccess)
         Status = ExitBadInput;
